@@ -1,9 +1,9 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The backend is picked once at import time.  Setting the environment
-variable ``SIDEBAND_STEER_NO_NUMBA=1`` forces the numpy implementations
-even when numba is installed.  Both implementations stay importable so
-``benchmarks/benchmark_kernels.py`` can time them side by side.
+Three kernels carry the numeric load: pair rotations (every segment flow),
+the decoupling-time scan (every winding search) and the planner's
+objective with its adjoint gradient (every L-BFGS evaluation).  Each has
+exactly one implementation.
 
 All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
@@ -12,32 +12,7 @@ a bundle of independent 2x2 rotations, never a dense matrix exponential.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-_ENV_FLAG = "SIDEBAND_STEER_NO_NUMBA"
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip() not in ("", "0")
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via " + _ENV_FLAG)
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
-
-
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # pair rotations
@@ -49,7 +24,7 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 
-def rotate_pairs_numpy(state, pj, pk, betas, kinds):
+def rotate_pairs(state, pj, pk, betas, kinds):
     """Apply disjoint 2x2 rotations to ``state`` in place."""
     if len(pj) == 0:
         return state
@@ -63,29 +38,10 @@ def rotate_pairs_numpy(state, pj, pk, betas, kinds):
     return state
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def rotate_pairs_numba(state, pj, pk, betas, kinds):  # pragma: no cover
-        for i in range(pj.shape[0]):
-            j = pj[i]
-            k = pk[i]
-            c = math.cos(betas[i])
-            s = math.sin(betas[i])
-            aj = state[j]
-            ak = state[k]
-            if kinds[i] == 0:
-                state[j] = c * aj + 1j * s * ak
-                state[k] = 1j * s * aj + c * ak
-            else:
-                state[j] = c * aj + s * ak
-                state[k] = -s * aj + c * ak
-        return state
-
-else:
-    rotate_pairs_numba = None
-
-rotate_pairs = rotate_pairs_numba if HAVE_NUMBA else rotate_pairs_numpy
+# The objective rotates through this private alias: code that wraps the
+# module attribute ``rotate_pairs`` (a profiler, say) then sees segment
+# flows only, not the planner's inner loop.
+_rotate = rotate_pairs
 
 
 def rotate_pairs_matrix(mat, pj, pk, betas, kinds):
@@ -112,7 +68,7 @@ def rotate_pairs_matrix(mat, pj, pk, betas, kinds):
 # ---------------------------------------------------------------------------
 
 
-def scan_decoupling_numpy(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
+def scan_decoupling(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
     s = np.arange(s0, s1, dtype=np.float64)
     half = 0.5 * (t_hat + step * s)
     tot = np.zeros_like(half)
@@ -134,36 +90,6 @@ def scan_decoupling_numpy(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bou
     return cand, best_s, best_bound
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def scan_decoupling_numba(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):  # pragma: no cover
-        nc = cls_ptr.shape[0] - 1
-        for s in range(s0, s1):
-            half = 0.5 * (t_hat + step * s)
-            tot = 0.0
-            for c in range(nc):
-                mx = 0.0
-                for i in range(cls_ptr[c], cls_ptr[c + 1]):
-                    v = abs(math.sin(w[i] * half))
-                    if v > mx:
-                        mx = v
-                tot += 2.0 * mx
-                if tot >= best_bound and tot >= eps:
-                    break
-            if tot < best_bound:
-                best_bound = tot
-                best_s = s
-            if tot < eps:
-                return s, best_s, best_bound
-        return -1, best_s, best_bound
-
-else:
-    scan_decoupling_numba = None
-
-scan_decoupling = scan_decoupling_numba if HAVE_NUMBA else scan_decoupling_numpy
-
-
 # ---------------------------------------------------------------------------
 # planner objective + adjoint gradient
 #
@@ -176,7 +102,7 @@ scan_decoupling = scan_decoupling_numba if HAVE_NUMBA else scan_decoupling_numpy
 # ---------------------------------------------------------------------------
 
 
-def objective_grad_numpy(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
+def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     nseg = len(thetas)
     dim = phi0.shape[0]
     states = np.empty((nseg + 1, dim), dtype=np.complex128)
@@ -184,7 +110,7 @@ def objective_grad_numpy(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     for k in range(nseg):
         states[k + 1] = states[k]
         lo, hi = seg_ptr[k], seg_ptr[k + 1]
-        rotate_pairs_numpy(states[k + 1], pj[lo:hi], pk[lo:hi], thetas[k] * pc[lo:hi], pkind[lo:hi])
+        _rotate(states[k + 1], pj[lo:hi], pk[lo:hi], thetas[k] * pc[lo:hi], pkind[lo:hi])
     mu = states[nseg] - target
     f = float(np.sum(mu.real**2 + mu.imag**2))
     grad = np.zeros(nseg, dtype=np.float64)
@@ -198,73 +124,5 @@ def objective_grad_numpy(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
         sj = np.where(e, 1j * c, c) * phi[kk]
         sk = np.where(e, 1j * c, -c) * phi[j]
         grad[k] = 2.0 * float(np.sum((np.conj(mu[j]) * sj + np.conj(mu[kk]) * sk).real))
-        rotate_pairs_numpy(mu, j, kk, -thetas[k] * c, pkind[lo:hi])
+        _rotate(mu, j, kk, -thetas[k] * c, pkind[lo:hi])
     return f, grad
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def objective_grad_numba(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):  # pragma: no cover
-        nseg = thetas.shape[0]
-        dim = phi0.shape[0]
-        states = np.empty((nseg + 1, dim), dtype=np.complex128)
-        for d in range(dim):
-            states[0, d] = phi0[d]
-        for k in range(nseg):
-            for d in range(dim):
-                states[k + 1, d] = states[k, d]
-            for i in range(seg_ptr[k], seg_ptr[k + 1]):
-                j = pj[i]
-                kk = pk[i]
-                b = thetas[k] * pc[i]
-                c = math.cos(b)
-                s = math.sin(b)
-                aj = states[k + 1, j]
-                ak = states[k + 1, kk]
-                if pkind[i] == 0:
-                    states[k + 1, j] = c * aj + 1j * s * ak
-                    states[k + 1, kk] = 1j * s * aj + c * ak
-                else:
-                    states[k + 1, j] = c * aj + s * ak
-                    states[k + 1, kk] = -s * aj + c * ak
-        mu = np.empty(dim, dtype=np.complex128)
-        f = 0.0
-        for d in range(dim):
-            mu[d] = states[nseg, d] - target[d]
-            f += mu[d].real * mu[d].real + mu[d].imag * mu[d].imag
-        grad = np.zeros(nseg, dtype=np.float64)
-        for k in range(nseg - 1, -1, -1):
-            g = 0.0
-            for i in range(seg_ptr[k], seg_ptr[k + 1]):
-                j = pj[i]
-                kk = pk[i]
-                c = pc[i]
-                if pkind[i] == 0:
-                    sj = 1j * c * states[k + 1, kk]
-                    sk = 1j * c * states[k + 1, j]
-                else:
-                    sj = c * states[k + 1, kk]
-                    sk = -c * states[k + 1, j]
-                g += (mu[j].conjugate() * sj + mu[kk].conjugate() * sk).real
-            grad[k] = 2.0 * g
-            for i in range(seg_ptr[k], seg_ptr[k + 1]):
-                j = pj[i]
-                kk = pk[i]
-                b = -thetas[k] * pc[i]
-                c = math.cos(b)
-                s = math.sin(b)
-                aj = mu[j]
-                ak = mu[kk]
-                if pkind[i] == 0:
-                    mu[j] = c * aj + 1j * s * ak
-                    mu[kk] = 1j * s * aj + c * ak
-                else:
-                    mu[j] = c * aj + s * ak
-                    mu[kk] = -s * aj + c * ak
-        return f, grad
-
-else:
-    objective_grad_numba = None
-
-objective_grad = objective_grad_numba if HAVE_NUMBA else objective_grad_numpy

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from . import lie_certifier as lc
 from . import lift_simulator as ls
 from . import modal_planner as mp
@@ -36,6 +35,7 @@ EXIT_PLANNER = 3
 EXIT_SEARCH = 4
 
 SEED_ENV = "SIDEBAND_STEER_SEED"
+BACKEND = "numpy"  # recorded in every artifact's config
 
 
 @dataclass
@@ -109,7 +109,7 @@ def _write_json(path: Path, payload: dict, config: dict) -> None:
 
 def _config_dict(args, keys) -> dict:
     d = {k: getattr(args, k) for k in keys if hasattr(args, k)}
-    d["backend"] = _kernels.backend_name()
+    d["backend"] = BACKEND
     return d
 
 
@@ -121,6 +121,17 @@ def _walk_parsers(parser):
                 yield from _walk_parsers(sub)
 
 
+def _config_path(argv) -> str | None:
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a file argument")
+            return argv[i + 1]
+        if arg.startswith("--config="):
+            return arg.split("=", 1)[1]
+    return None
+
+
 def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
     """Apply --config file values as parser defaults so flags win.
 
@@ -128,10 +139,12 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
     (whose settings live under its "config" key), so any run can be
     reproduced directly from its outputs.
     """
-    if "--config" in argv:
-        i = argv.index("--config")
-        with open(argv[i + 1]) as fh:
+    path = _config_path(argv)
+    if path is not None:
+        with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         if isinstance(raw.get("config"), dict):
             raw = raw["config"]
         for p in _walk_parsers(parser):
@@ -141,6 +154,15 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
                 if a.dest in raw and a.required:
                     a.required = False
     return argv
+
+
+def _read_artifact(path, parse):
+    """Parse a JSON artifact; an unreadable or malformed file is a usage error."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +274,8 @@ def cmd_lift(args) -> int:
     if args.eps <= 0:
         print("error: eps must be positive", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.plan) as fh:
-        payload = json.load(fh)
-    plan = mp.Plan.from_json(payload if "segments" in payload else payload["plan"])
+    plan = _read_artifact(args.plan, lambda d: mp.Plan.from_json(
+        d if "segments" in d else d["plan"]))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args, ("plan", "eps", "s_max", "jobs"))
@@ -270,20 +291,15 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def _write_trajectory(path: Path, lp: ls.LiftedPlan, phi0: np.ndarray,
+def _write_trajectory(path: Path, lp: ls.LiftedPlan, states: np.ndarray,
                       final_error: float | None) -> None:
-    dim = lp.dim_sim
-    phi = np.zeros(dim, dtype=np.complex128)
-    phi[:len(phi0)] = phi0
     t = 0.0
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["segment_index", "time_accumulated", "basis_index", "re", "im"])
-        for i, seg in enumerate(lp.segments):
-            one = ls.LiftedPlan(p=lp.p, eps=lp.eps, dim_sim=dim, segments=[seg])
-            phi, _ = ls.simulate_lifted(one, phi)
+        for i, (seg, phi) in enumerate(zip(lp.segments, states[1:])):
             t += seg.duration
-            for j in range(dim):
+            for j in range(lp.dim_sim):
                 wr.writerow([i, f"{t:.12g}", j + 1,
                              f"{phi[j].real:.17g}", f"{phi[j].imag:.17g}"])
         wr.writerow(["final_error", f"{t:.12g}", "",
@@ -291,20 +307,21 @@ def _write_trajectory(path: Path, lp: ls.LiftedPlan, phi0: np.ndarray,
 
 
 def cmd_simulate(args) -> int:
-    lp = ls.LiftedPlan.load(args.lifted)
+    lp = _read_artifact(args.lifted, ls.LiftedPlan.from_json)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args, ("lifted", "phi0", "phiT", "seed"))
     rng = np.random.default_rng([args.seed, 0])
     phi0 = parse_state_spec(args.phi0, 4 * lp.p, rng)
-    final, tail = ls.simulate_lifted(lp, phi0)
+    states, tail = ls.simulate_lifted(lp, phi0)
+    final = states[-1]
     final_error = None
     if args.phiT is not None:
         phiT = parse_state_spec(args.phiT, 4 * lp.p, np.random.default_rng([args.seed, 1]))
         target = np.zeros(lp.dim_sim, dtype=np.complex128)
         target[:len(phiT)] = phiT
         final_error = float(np.linalg.norm(final - target))
-    _write_trajectory(outdir / "trajectory.csv", lp, phi0, final_error)
+    _write_trajectory(outdir / "trajectory.csv", lp, states, final_error)
     _write_json(outdir / "simulate_summary.json",
                 {"tail_mass": tail, "final_error": final_error,
                  "final_norm": float(np.linalg.norm(final))}, config)
@@ -326,7 +343,7 @@ def cmd_run_e2e(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     config = {**{k: v for k, v in asdict(cfg).items() if k != "output_dir"},
               "phi0": args.phi0, "phiT": args.phiT,
-              "eps_plan": cfg.planner_eps, "backend": _kernels.backend_name()}
+              "eps_plan": cfg.planner_eps, "backend": BACKEND}
 
     p = ls.choose_prime(cfg.n)
     cert = lc.certify_modal(p, cfg.family)
@@ -360,7 +377,8 @@ def cmd_run_e2e(args) -> int:
     except InternalConsistencyError as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    _write_trajectory(outdir / "trajectory.csv", lp, phi0, report["final_error"])
+    states, _ = ls.simulate_lifted(lp, phi0)
+    _write_trajectory(outdir / "trajectory.csv", lp, states, report["final_error"])
     # plot data: predicted error budget vs segment index
     with open(outdir / "budget.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -470,7 +488,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

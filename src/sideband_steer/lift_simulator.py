@@ -13,13 +13,11 @@ detector, not a truncation estimate.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from . import operator_core as oc
 from . import spectral_decoupling as sd
 from . import torus_winding as tw
@@ -99,22 +97,11 @@ def choose_prime(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     p = max(n, 3)
-    while not _is_prime(p):
+    while not sd.is_prime(p):
         p += 1
     if not sd.decoupling_order_ok(p + 1):
         raise InternalConsistencyError(f"hypothesis fails at m={p + 1} for prime p={p}")
     return p
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
@@ -183,8 +170,12 @@ def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
 
 
 def simulate_lifted(lp: LiftedPlan, phi0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact simulation of a lifted plan; returns (final state, tail mass).
+    """Exact simulation of a lifted plan: (states, tail mass).
 
+    Row 0 of ``states`` is phi0 in the simulation dimension, row k+1 the
+    state after segment k.  Carriers rotate by duration * amplitude;
+    sidebands rotate by exact mod-2*pi angles, since a float t_bar would
+    lose the selected class's periodicity for large winding indices.
     Tail mass is the largest probability mass ever observed beyond the
     running support guard Y_{4(p + sidebands so far)}.  The simulation is
     exact, so any appreciable tail indicates a bug.
@@ -195,30 +186,29 @@ def simulate_lifted(lp: LiftedPlan, phi0: np.ndarray) -> tuple[np.ndarray, float
     if len(phi0) > dim:
         raise ValueError("phi0 longer than the simulation dimension")
     phi[:len(phi0)] = phi0
+    ops, coeffs, thetas = [], [], []
+    for seg in lp.segments:
+        ops.append(oc.truncate(seg.coupling, dim))
+        if seg.is_sideband:
+            coeffs.append(tw.exact_flow_betas(seg.coupling, dim, seg.s,
+                                              seg.nu_kernel, seg.t_hat))
+            thetas.append(1.0)
+        else:
+            if seg.duration < 0:
+                raise ValueError("duration must be nonnegative")
+            coeffs.append(None)
+            thetas.append(seg.duration * seg.amplitude)
+    states = oc.SegmentProgram.from_operators(ops, coeffs).states(phi, thetas)
     sides = 0
     tail = 0.0
-    for seg in lp.segments:
-        if seg.is_sideband:
-            phi = _apply_lifted_sideband(seg, phi, dim)
-            sides += 1
-        else:
-            phi = oc.apply_exp_segment(seg.coupling, seg.amplitude, seg.duration,
-                                       phi, dim)
+    for seg, before, after in zip(lp.segments, states[:-1], states[1:]):
+        if oc.is_ion(seg.coupling):
+            oc._check_support_inside(seg.coupling, before, dim)
+        sides += seg.is_sideband
         guard = 4 * (lp.p + sides)
         if guard < dim:
-            tail = max(tail, float(np.sum(np.abs(phi[guard:]) ** 2)))
-    return phi, tail
-
-
-def _apply_lifted_sideband(seg: LiftedSegment, phi: np.ndarray, dim: int) -> np.ndarray:
-    # exact mod-2*pi rotation angles; float t_bar would lose the selected
-    # class's periodicity for large winding indices
-    oc._check_support_inside(seg.coupling, phi, dim)
-    pj, pk, _, pt, _ = oc.pair_arrays(seg.coupling, dim)
-    betas = tw.exact_flow_betas(seg.coupling, dim, seg.s, seg.nu_kernel, seg.t_hat)
-    out = phi.copy()
-    _kernels.rotate_pairs(out, pj, pk, betas, pt)
-    return out
+            tail = max(tail, float(np.sum(np.abs(after[guard:]) ** 2)))
+    return states, tail
 
 
 def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
@@ -233,7 +223,8 @@ def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
     dim = lp.dim_sim
     phi0 = np.asarray(phi0, dtype=np.complex128)
     phiT = np.asarray(phiT, dtype=np.complex128)
-    final, tail = simulate_lifted(lp, phi0)
+    states, tail = simulate_lifted(lp, phi0)
+    final = states[-1]
     modal = simulate_plan_modal(plan, phi0)[-1]
     modal_p = np.zeros(dim, dtype=np.complex128)
     modal_p[:len(modal)] = modal

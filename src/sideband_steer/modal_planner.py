@@ -157,29 +157,8 @@ def build_generator_operator(gid: GeneratorId, p: int) -> oc.TruncatedOperator:
     return sd.build_decoupled_generator(gid.coupling, gid.class_index, p)
 
 
-def _schedule_arrays(gens: list[GeneratorId], p: int):
-    """CSR pair layout for one cycle of the schedule."""
-    ops = [build_generator_operator(g, p) for g in gens]
-    ptr = [0]
-    pj, pk, pc, pt = [], [], [], []
-    for op in ops:
-        pj.append(op.pj)
-        pk.append(op.pk)
-        pc.append(op.coeff)
-        pt.append(op.kind)
-        ptr.append(ptr[-1] + len(op.pj))
-    cat = lambda xs, dt: (np.concatenate(xs) if xs else np.empty(0, dtype=dt))
-    return (np.asarray(ptr, dtype=np.int64), cat(pj, np.int64), cat(pk, np.int64),
-            cat(pc, np.float64), cat(pt, np.uint8))
-
-
-def _tile_schedule(one_cycle, cycles: int):
-    ptr1, pj, pk, pc, pt = one_cycle
-    npairs = ptr1[-1]
-    nseg = len(ptr1) - 1
-    ptr = np.concatenate([ptr1[:-1] + c * npairs for c in range(cycles)] + [[cycles * npairs]])
-    tile = lambda a: np.tile(a, cycles)
-    return ptr.astype(np.int64), tile(pj), tile(pk), tile(pc), tile(pt)
+def _program(gens, p: int) -> oc.SegmentProgram:
+    return oc.SegmentProgram.from_operators(build_generator_operator(g, p) for g in gens)
 
 
 def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
@@ -192,7 +171,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
     drops below eps_plan or the iteration budget runs out (the best plan
     found is returned either way, with its honest achieved error).
     """
-    if p < 3 or not _is_prime(p):
+    if p < 3 or not sd.is_prime(p):
         raise ValueError("planning order p must be a prime >= 3")
     if budget < 1:
         raise ValueError("iteration budget must be >= 1")
@@ -209,7 +188,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
         return Plan(p, M, seed, eps_plan, base_err, [], family)
 
     gens = default_generator_ids(p, family)
-    one_cycle = _schedule_arrays(gens, p)
+    one_cycle = _program(gens, p)
     rng = np.random.default_rng(seed)
 
     best = None  # (error, thetas, cycles)
@@ -218,12 +197,12 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
     restart = 0
     while iters_left > 0:
         cycles = cycles_schedule[min(restart, len(cycles_schedule) - 1)]
-        ptr, pj, pk, pc, pt = _tile_schedule(one_cycle, cycles)
-        nseg = len(ptr) - 1
-        theta0 = rng.normal(0.0, 0.5, size=nseg)
+        prog = one_cycle.tile(cycles)
+        theta0 = rng.normal(0.0, 0.5, size=len(prog.ptr) - 1)
 
         def fun(th):
-            return _kernels.objective_grad(th, phi0, phiT, ptr, pj, pk, pc, pt)
+            return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj,
+                                           prog.pk, prog.coeff, prog.kind)
 
         res = minimize(fun, theta0, jac=True, method="L-BFGS-B",
                        options={"maxiter": min(800, iters_left), "maxcor": 30,
@@ -261,17 +240,12 @@ def _cycle_schedule(ngens: int, dim: int) -> list[int]:
     return out
 
 
-def simulate_plan_modal(plan: Plan, phi0: np.ndarray) -> list[np.ndarray]:
-    """States after each segment of the exact decoupled-modal flow."""
+def simulate_plan_modal(plan: Plan, phi0: np.ndarray) -> np.ndarray:
+    """States of the exact decoupled-modal flow: phi0, then one row per segment."""
     dim = 4 * plan.p
     phi = np.pad(np.asarray(phi0, dtype=np.complex128), (0, dim - len(phi0)))
-    out = [phi.copy()]
-    for seg in plan.segments:
-        op = build_generator_operator(seg.generator, plan.p)
-        phi = phi.copy()
-        _kernels.rotate_pairs(phi, op.pj, op.pk, seg.angle * op.coeff, op.kind)
-        out.append(phi.copy())
-    return out
+    prog = _program([seg.generator for seg in plan.segments], plan.p)
+    return prog.states(phi, [seg.angle for seg in plan.segments])
 
 
 def gradient_check(plan: Plan, phi0: np.ndarray, phiT: np.ndarray,
@@ -281,34 +255,18 @@ def gradient_check(plan: Plan, phi0: np.ndarray, phiT: np.ndarray,
     dim = 4 * plan.p
     phi0 = np.pad(oc.normalize(phi0), (0, dim - len(phi0)))
     phiT = np.pad(oc.normalize(phiT), (0, dim - len(phiT)))
-    gens = [seg.generator for seg in plan.segments]
-    ops = [build_generator_operator(g, plan.p) for g in gens]
-    ptr = np.cumsum([0] + [len(op.pj) for op in ops]).astype(np.int64)
-    cat = lambda key, dt: (np.concatenate([getattr(op, key) for op in ops])
-                           if ops else np.empty(0, dtype=dt))
-    pj, pk = cat("pj", np.int64), cat("pk", np.int64)
-    pc, pt = cat("coeff", np.float64), cat("kind", np.uint8)
+    prog = _program([seg.generator for seg in plan.segments], plan.p)
     thetas = np.array([seg.angle for seg in plan.segments])
 
-    def f_only(th):
-        return _kernels.objective_grad(th, phi0, phiT, ptr, pj, pk, pc, pt)[0]
+    def f_grad(th):
+        return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
+                                       prog.coeff, prog.kind)
 
-    _, grad = _kernels.objective_grad(thetas, phi0, phiT, ptr, pj, pk, pc, pt)
+    _, grad = f_grad(thetas)
     fd = np.empty_like(grad)
     for i in range(len(thetas)):
         e = np.zeros_like(thetas)
         e[i] = step
-        fd[i] = (f_only(thetas + e) - f_only(thetas - e)) / (2 * step)
+        fd[i] = (f_grad(thetas + e)[0] - f_grad(thetas - e)[0]) / (2 * step)
     scale = max(1.0, float(np.max(np.abs(grad))) if len(grad) else 0.0)
     return float(np.max(np.abs(grad - fd)) / scale) if len(grad) else 0.0
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

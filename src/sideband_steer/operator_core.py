@@ -134,7 +134,6 @@ class TruncatedOperator:
     coeff: np.ndarray
     kind: np.ndarray  # uint8: 0 = E, 1 = F
     radicand: np.ndarray
-    disjoint: bool = True
     _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -234,9 +233,12 @@ def build_coupling(cid: str, n: int) -> TruncatedOperator:
         raise ValueError("truncation order must be >= 1")
     if cid not in ALL_IDS:
         raise ValueError(f"unknown coupling id {cid!r}")
-    dim = 4 * n if is_ion(cid) else 2 * n
-    pj, pk, pc, pt, pr = _pair_arrays(cid, dim)
-    return TruncatedOperator(cid, dim, pj, pk, pc, pt, pr)
+    return truncate(cid, 4 * n if is_ion(cid) else 2 * n)
+
+
+def truncate(cid: str, dim: int) -> TruncatedOperator:
+    """The coupling operator truncated to an arbitrary dimension."""
+    return TruncatedOperator(cid, dim, *_pair_arrays(cid, dim))
 
 
 def build_D(n: int) -> np.ndarray:
@@ -313,79 +315,6 @@ def permuted_matrix(cid: str, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# control vectors and generators
-# ---------------------------------------------------------------------------
-
-CONTROL_NAMES = ("v1", "w1", "v1r", "w1r", "v1b", "w1b",
-                 "v2", "w2", "v2r", "w2r", "v2b", "w2b")
-_CONTROL_TO_ID = dict(zip(CONTROL_NAMES, ION_IDS))
-
-
-@dataclass
-class ControlVector:
-    """The twelve real control amplitudes of the ion system."""
-
-    v1: float = 0.0
-    w1: float = 0.0
-    v1r: float = 0.0
-    w1r: float = 0.0
-    v1b: float = 0.0
-    w1b: float = 0.0
-    v2: float = 0.0
-    w2: float = 0.0
-    v2r: float = 0.0
-    w2r: float = 0.0
-    v2b: float = 0.0
-    w2b: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in CONTROL_NAMES}
-
-    def complex_controls(self) -> dict[str, complex]:
-        """The six complex controls u = v + i*w, keyed '1', '1r', ..., '2b'."""
-        out = {}
-        for key in ("1", "1r", "1b", "2", "2r", "2b"):
-            out[key] = complex(getattr(self, "v" + key), getattr(self, "w" + key))
-        return out
-
-    def check_bound(self, m_bound: float) -> None:
-        for name, val in self.as_dict().items():
-            if abs(val) > m_bound:
-                raise ValueError(f"control {name}={val} exceeds bound {m_bound}")
-
-
-def assemble_generator(c: ControlVector, n: int) -> TruncatedOperator:
-    """Linear combination sum(control * coupling) as one 4n x 4n operator.
-
-    The pair list is the concatenation of the contributing pair lists and
-    is generally not disjoint; segment flows require single couplings.
-    """
-    if n < 1:
-        raise ValueError("truncation order must be >= 1")
-    mats = []
-    pj, pk, pc, pt, pr = [], [], [], [], []
-    for name, val in c.as_dict().items():
-        if val == 0.0:
-            continue
-        op = build_coupling(_CONTROL_TO_ID[name], n)
-        mats.append(val * op.matrix)
-        pj.append(op.pj)
-        pk.append(op.pk)
-        pc.append(val * op.coeff)
-        pt.append(op.kind)
-        pr.append(op.radicand)
-    dim = 4 * n
-    dense = np.sum(mats, axis=0) if mats else np.zeros((dim, dim), dtype=np.complex128)
-    cat = lambda xs, dt: (np.concatenate(xs) if xs else np.empty(0, dtype=dt))
-    out = TruncatedOperator("composite", dim,
-                            cat(pj, np.int64), cat(pk, np.int64),
-                            cat(pc, np.float64), cat(pt, np.uint8),
-                            cat(pr, np.int64), disjoint=len(mats) <= 1)
-    out._matrix = dense
-    return out
-
-
-# ---------------------------------------------------------------------------
 # exact segment flows
 # ---------------------------------------------------------------------------
 
@@ -425,14 +354,71 @@ def apply_exp_segment(cid: str, amplitude: float, duration: float,
     return out
 
 
-def apply_pair_betas(op_pairs, betas: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rotate ``phi`` (copied) by explicit per-pair angles."""
-    pj, pk, _, pt, _ = op_pairs
-    out = np.array(phi, dtype=np.complex128, copy=True)
-    _kernels.rotate_pairs(out, pj, pk, betas, pt)
-    return out
-
-
 def pair_arrays(cid: str, dim: int):
     """Public view of the cached 0-based pair arrays (pj, pk, coeff, kind, radicand)."""
     return _pair_arrays(cid, dim)
+
+
+# ---------------------------------------------------------------------------
+# segment programs
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentProgram:
+    """A sequence of segment flows in one CSR pair layout.
+
+    Segment k is the flow exp(theta_k * S_k) of one disjoint-pair operator
+    S_k: it rotates the pairs ``ptr[k]:ptr[k+1]`` by the angles
+    ``theta_k * coeff``.  The planner objective, both simulators and the
+    trajectory writer all run on this one representation.
+    """
+
+    ptr: np.ndarray
+    pj: np.ndarray
+    pk: np.ndarray
+    coeff: np.ndarray
+    kind: np.ndarray
+
+    @classmethod
+    def from_operators(cls, ops, coeffs=None) -> "SegmentProgram":
+        """One segment per operator, in order.
+
+        ``coeffs[k]``, when given and not None, replaces the coefficients of
+        ``ops[k]``; the lifted simulator passes exactly reduced angles there.
+        """
+        ops = list(ops)
+        coeffs = [None] * len(ops) if coeffs is None else coeffs
+        pc = [op.coeff if c is None else np.asarray(c, dtype=np.float64)
+              for op, c in zip(ops, coeffs, strict=True)]
+        cat = lambda xs, dt: (np.concatenate(xs) if xs else np.empty(0, dtype=dt))
+        return cls(np.cumsum([0] + [len(op.pj) for op in ops]).astype(np.int64),
+                   cat([op.pj for op in ops], np.int64),
+                   cat([op.pk for op in ops], np.int64),
+                   cat(pc, np.float64), cat([op.kind for op in ops], np.uint8))
+
+    def tile(self, cycles: int) -> "SegmentProgram":
+        """The program repeated ``cycles`` times."""
+        npairs = self.ptr[-1]
+        starts = self.ptr[:-1] + npairs * np.arange(cycles, dtype=np.int64)[:, None]
+        ptr = np.append(starts.ravel(), cycles * npairs)
+        return SegmentProgram(ptr, *(np.tile(a, cycles)
+                                     for a in (self.pj, self.pk, self.coeff, self.kind)))
+
+    def states(self, phi0: np.ndarray, thetas) -> np.ndarray:
+        """Row 0 is ``phi0``, row k+1 the state after segment k.
+
+        ``phi0`` must already live in the program's dimension.  Every
+        segment is one ``_kernels.rotate_pairs`` call.
+        """
+        nseg = len(self.ptr) - 1
+        if len(thetas) != nseg:
+            raise ValueError(f"{len(thetas)} angles for {nseg} segments")
+        out = np.empty((nseg + 1, len(phi0)), dtype=np.complex128)
+        out[0] = phi0
+        for k in range(nseg):
+            lo, hi = self.ptr[k], self.ptr[k + 1]
+            out[k + 1] = out[k]
+            _kernels.rotate_pairs(out[k + 1], self.pj[lo:hi], self.pk[lo:hi],
+                                  thetas[k] * self.coeff[lo:hi], self.kind[lo:hi])
+        return out

@@ -4,20 +4,17 @@ Frequencies of the sideband operators are sqrt(j) for integer j, carried
 exactly as (rational coefficient) * sqrt(square-free kernel).  Rational
 resonance of two nonzero frequencies is then decidable: it holds exactly
 when the kernels agree.  Nothing in this module clusters floating-point
-eigenvalues; callers of the generic entry point must label spectra exactly.
+eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from . import operator_core as oc
-
-_SKEW_TOL = 1e-12
 
 
 def squarefree_decompose(r: int) -> tuple[int, int]:
@@ -38,6 +35,18 @@ def squarefree_decompose(r: int) -> tuple[int, int]:
         d += 1
     k *= r
     return c, k
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,6 @@ class ResonanceClass:
 
     members: tuple[ExactFrequency, ...]
     nu: ExactFrequency
-
-    def contains_radicand(self, r: int) -> bool:
-        return ExactFrequency.from_radicand(r) in self.members
 
     def matches_kernel(self, r: int) -> bool:
         """Same kernel as this class (ignores the order cutoff)."""
@@ -207,7 +213,7 @@ def class_projector(cid: str, cls: ResonanceClass, m: int, dim: int) -> np.ndarr
         raise ValueError("class projectors are defined for ion sideband operators")
     if dim < 4 * m:
         raise ValueError("dim must be at least 4m")
-    op = _truncated(cid, dim)
+    op = oc.truncate(cid, dim)
     by_rad, unpaired = _pair_index_sets(op)
     diag = np.zeros(dim)
     if cls.nu.is_zero:
@@ -217,11 +223,6 @@ def class_projector(cid: str, cls: ResonanceClass, m: int, dim: int) -> np.ndarr
             if cls.matches_kernel(r) and r <= m - 2:
                 diag[idx] = 1.0
     return np.diag(diag).astype(np.complex128)
-
-
-def _truncated(cid: str, dim: int) -> oc.TruncatedOperator:
-    pj, pk, pc, pt, pr = oc.pair_arrays(cid, dim)
-    return oc.TruncatedOperator(cid, dim, pj, pk, pc, pt, pr)
 
 
 @dataclass
@@ -243,8 +244,6 @@ def decompose(op: oc.TruncatedOperator, m: int) -> DecoupledDecomposition:
     when |coeff| is among sqrt(0..m-2), to the dec part at sqrt(m-1), and
     to the rho remainder beyond.
     """
-    if not op.disjoint:
-        raise ValueError("decomposition needs a disjoint-pair operator")
     if not (oc.is_ion(op.id) and oc.is_sideband(op.id)):
         raise ValueError("only ion sideband operators have exact sqrt-integer spectra")
     max_rad = int(op.radicand.max()) if len(op.radicand) else 0
@@ -288,7 +287,7 @@ def build_decoupled_generator(cid: str, j: int, n: int) -> oc.TruncatedOperator:
     if not 1 <= j <= part.count:
         raise ValueError(f"class index {j} outside 1..{part.count}")
     cls = part.classes[j - 1]
-    op = _truncated(cid, 4 * n)
+    op = oc.truncate(cid, 4 * n)
     if cls.nu.is_zero:
         mask = np.zeros(len(op.radicand), dtype=bool)
     else:
@@ -296,69 +295,3 @@ def build_decoupled_generator(cid: str, j: int, n: int) -> oc.TruncatedOperator:
                          for r in op.radicand], dtype=bool)
     return oc.TruncatedOperator(f"{cid}[{j}]", op.dim, op.pj[mask], op.pk[mask],
                                 op.coeff[mask], op.kind[mask], op.radicand[mask])
-
-
-# ---------------------------------------------------------------------------
-# generic entry point
-# ---------------------------------------------------------------------------
-
-
-def decompose_with_labels(u: np.ndarray, labeled_blocks, m: int,
-                          tol: float = 1e-10) -> DecoupledDecomposition:
-    """Decompose an arbitrary skew-Hermitian matrix from exact labels.
-
-    ``labeled_blocks`` is a list of (ExactFrequency, columns) pairs where
-    the columns form an orthonormal basis of the eigenspace with that
-    modulus.  Purely numeric frequency clustering is deliberately not
-    offered: resonance is undecidable in floating point.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    if np.linalg.norm(u + u.conj().T) > _SKEW_TOL * max(1.0, np.linalg.norm(u)):
-        raise ValueError("matrix is not skew-Hermitian")
-    freqs = [w for w, _ in labeled_blocks]
-    if len({w for w in freqs}) != len(freqs):
-        raise ValueError("duplicate frequency labels")
-    order = np.argsort([w.value() for w in freqs])
-    freqs = [freqs[i] for i in order]
-    blocks = [np.asarray(labeled_blocks[i][1], dtype=np.complex128) for i in order]
-    if m > len(freqs):
-        raise ValueError("order m exceeds the labeled frequency range")
-    for w, b in zip(freqs, blocks):
-        resid = np.linalg.norm(u @ (u @ b) + (w.value() ** 2) * b)
-        if resid > tol * max(1.0, np.linalg.norm(u) ** 2):
-            raise ValueError(f"columns labeled {w} are not an eigenspace of modulus {w.value():.6g}")
-
-    # classes over the first m-1 labels, grouped by exact resonance
-    classes: list[list[int]] = []
-    for i in range(m - 1):
-        for grp in classes:
-            if freqs[grp[0]].resonant_with(freqs[i]):
-                grp.append(i)
-                break
-        else:
-            classes.append([i])
-    parts, projectors, rc = [], [], []
-    covered = np.zeros((u.shape[0], u.shape[0]), dtype=np.complex128)
-    for grp in classes:
-        pi = sum(blocks[i] @ blocks[i].conj().T for i in grp)
-        parts.append(u @ pi)
-        projectors.append(pi)
-        covered += pi
-        members = tuple(freqs[i] for i in grp)
-        nz = [w for w in members if not w.is_zero]
-        nu = ExactFrequency.zero()
-        if nz:
-            # largest exact value dividing all members into integers
-            g = nz[0].coeff
-            for w in nz[1:]:
-                g = Fraction(gcd(g.numerator * w.coeff.denominator,
-                                 w.coeff.numerator * g.denominator),
-                             g.denominator * w.coeff.denominator)
-            nu = ExactFrequency(g, nz[0].kernel)
-        rc.append(ResonanceClass(members, nu))
-    pi_dec = blocks[m - 1] @ blocks[m - 1].conj().T
-    u_dec = u @ pi_dec
-    u_rho = u - sum(parts) - u_dec
-    projectors.append(pi_dec)
-    partition = ResonancePartition(m, tuple(rc))
-    return DecoupledDecomposition(m, partition, parts, u_dec, u_rho, projectors)

@@ -28,20 +28,6 @@ _SQRT_DIGITS = 44
 TWO_PI = 2.0 * math.pi
 
 
-class CancelToken:
-    """Cooperative cancellation for long scans; checked between chunks."""
-
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class SearchCancelled(Exception):
-    pass
-
-
 @lru_cache(maxsize=None)
 def _sqrt_fixed(n: int) -> int:
     """floor(sqrt(n) * 10**_SQRT_DIGITS) as an exact integer."""
@@ -139,8 +125,7 @@ def _exact_evaluation(members, nu_kernel, s, t_hat):
     return per_class, residuals
 
 
-def find_decoupling_time(req: DecouplingRequest,
-                         cancel: CancelToken | None = None) -> DecouplingResult:
+def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     """Smallest s in 0..s_max with sum of class errors below req.eps.
 
     The hypothesis "omega_h/omega_m irrational or zero" is checked exactly
@@ -175,12 +160,10 @@ def find_decoupling_time(req: DecouplingRequest,
                 nu_kernel=nu_kernel, class_order=order)
         return None
 
-    chunk = 4_000_000 if _kernels.HAVE_NUMBA else 1_000_000
+    chunk = 1_000_000
     best_s, best_bound = -1, math.inf
     s_next = 0
     while s_next <= req.s_max:
-        if cancel is not None and cancel.cancelled:
-            raise SearchCancelled(f"search cancelled at s={s_next}")
         s_hi = min(s_next + chunk, req.s_max + 1)
         # slack covers float64 argument-reduction drift at the chunk's top
         theta_max = max_w * (abs(req.t_hat) + step * s_hi)

@@ -61,7 +61,7 @@ def test_certify_full_n3(tmp_path):
     blob = json.loads((tmp_path / "certify_full_n3.json").read_text())
     assert blob["dimension"] == 143
     assert blob["certified"] is True
-    assert blob["config"]["backend"] in ("numba", "numpy")
+    assert blob["config"]["backend"] == "numpy"
 
 
 def test_certify_red_only(tmp_path):
@@ -211,6 +211,27 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     assert run(["classes", "--config", str(cfg), "--m", "4",
                 "--output-dir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "classes_m4.json").read_text())["count"] == 3
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["certify", "--n", "3", "--config"], 2),
+    (["classes", "--m", "4", "--config", "{dir}/list.json"], 2),
+    (["lift", "--plan", "{dir}/list.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/nope.json", "--eps", "0.1"], 2),
+    (["simulate", "--lifted", "{dir}/nope.json"], 2),
+    (["classes", "--config={dir}/cfg.json"], 0),
+], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
+        "lifted-missing", "config-equals"])
+def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
+    # --output-dir goes first so that a trailing --config really is last
+    argv = argv[:1] + ["--output-dir", str(tmp_path)] + [a.format(dir=tmp_path) for a in argv[1:]]
+    assert run(argv) == want
+    if want == 2:
+        assert "error:" in capsys.readouterr().err
+    else:
+        assert json.loads((tmp_path / "classes_m10.json").read_text())["count"] == 7
 
 
 def test_rerun_from_artifact_reproduces(tmp_path):

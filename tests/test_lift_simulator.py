@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import helpers
+from sideband_steer import cli
 from sideband_steer import lift_simulator as ls
 from sideband_steer import modal_planner as mp
 from sideband_steer import operator_core as oc
@@ -116,7 +119,8 @@ def test_lifted_plan_json_roundtrip(tmp_path):
 def test_simulate_empty_lifted_plan():
     lp = ls.LiftedPlan(p=3, eps=0.1, dim_sim=16)
     phi0 = oc.basis_state(1, 12)
-    final, tail = ls.simulate_lifted(lp, phi0)
+    states, tail = ls.simulate_lifted(lp, phi0)
+    final = states[-1]
     assert np.array_equal(final[:12], phi0)
     assert tail == 0.0
 
@@ -125,7 +129,8 @@ def test_lifted_carrier_only_matches_modal():
     plan = carrier_plan(3, [0.3, 1.1, -0.7, 0.2])
     lp = ls.lift_plan(plan, eps=0.01)
     phi0 = oc.random_state(12, np.random.default_rng(1))
-    final, tail = ls.simulate_lifted(lp, phi0)
+    states, tail = ls.simulate_lifted(lp, phi0)
+    final = states[-1]
     modal = mp.simulate_plan_modal(plan, phi0)[-1]
     assert np.linalg.norm(final[:12] - modal) < 1e-12
     assert np.linalg.norm(final[12:]) == 0.0
@@ -137,7 +142,8 @@ def test_lifted_simulation_unitary_and_contained(seed):
     plan = mixed_plan(3, seed=seed, nseg=10)
     lp = ls.lift_plan(plan, eps=0.1)
     phi0 = oc.random_state(12, np.random.default_rng(seed))
-    final, tail = ls.simulate_lifted(lp, phi0)
+    states, tail = ls.simulate_lifted(lp, phi0)
+    final = states[-1]
     assert abs(np.linalg.norm(final) - 1) < 1e-12
     assert tail < 1e-12
 
@@ -147,7 +153,7 @@ def test_budget_soundness_lifted_vs_modal():
         plan = mixed_plan(3, seed=seed, nseg=8)
         lp = ls.lift_plan(plan, eps=0.05)
         phi0 = oc.random_state(12, np.random.default_rng(seed))
-        final, _ = ls.simulate_lifted(lp, phi0)
+        final = ls.simulate_lifted(lp, phi0)[0][-1]
         modal = mp.simulate_plan_modal(plan, phi0)[-1]
         modal_pad = np.zeros(lp.dim_sim, dtype=complex)
         modal_pad[:12] = modal
@@ -162,7 +168,7 @@ def test_lifted_sideband_segment_matches_expm():
     lp = ls.lift_plan(plan, eps=0.2, s_max=10**6)
     seg = lp.segments[0]
     phi0 = oc.random_state(12, np.random.default_rng(3))
-    final, _ = ls.simulate_lifted(lp, phi0)
+    final = ls.simulate_lifted(lp, phi0)[0][-1]
     dim = lp.dim_sim
     dense = oc.build_coupling(seg.coupling, dim // 4).matrix
     t_bar = seg.t_hat + 2 * np.pi * seg.s / np.sqrt(seg.nu_kernel)
@@ -173,6 +179,52 @@ def test_lifted_sideband_segment_matches_expm():
     # the exact-reduction path is the trustworthy one
     tol = 1e-7 if seg.s > 10**4 else 1e-9
     assert np.max(np.abs(final - ref)) < tol
+
+
+def _dense_lifted_step(seg, dim):
+    dense = oc.truncate(seg.coupling, dim).matrix
+    if seg.is_sideband:
+        return expm((seg.t_hat + 2 * np.pi * seg.s / np.sqrt(seg.nu_kernel)) * dense)
+    return expm(seg.duration * seg.amplitude * dense)
+
+
+def test_mixed_plan_states_match_dense_product_after_every_segment():
+    plan = mixed_plan(3, seed=25, nseg=10)
+    assert {seg.generator.kind for seg in plan.segments} == {"carrier", "sideband"}
+    phi0 = oc.random_state(12, np.random.default_rng(25))
+
+    modal = mp.simulate_plan_modal(plan, phi0)
+    assert len(modal) == len(plan.segments) + 1
+    ref = phi0.copy()
+    for seg, got in zip(plan.segments, modal[1:]):
+        op = mp.build_generator_operator(seg.generator, plan.p)
+        ref = expm(seg.angle * op.matrix) @ ref
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    lp = ls.lift_plan(plan, eps=0.5)
+    states, tail = ls.simulate_lifted(lp, phi0)
+    assert tail < 1e-12
+    assert len(states) == len(lp.segments) + 1
+    ref = np.zeros(lp.dim_sim, dtype=complex)
+    ref[:12] = phi0
+    for seg, got in zip(lp.segments, states[1:]):
+        ref = _dense_lifted_step(seg, lp.dim_sim) @ ref
+        # float t_bar costs the dense reference ~|t_bar| ulps of phase
+        assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_trajectory_rows_are_the_lifted_states(tmp_path):
+    plan = mixed_plan(3, seed=26, nseg=8)
+    lp = ls.lift_plan(plan, eps=0.2)
+    lp.dump(tmp_path / "lifted.json")
+    assert cli.main(["simulate", "--lifted", str(tmp_path / "lifted.json"),
+                     "--phi0", "e1", "--output-dir", str(tmp_path)]) == 0
+    states, _ = ls.simulate_lifted(lp, oc.basis_state(1, 12))
+    with open(tmp_path / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))[:-1]
+    got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
+    assert [int(r["segment_index"]) for r in rows[::lp.dim_sim]] == list(range(len(lp.segments)))
+    assert np.array_equal(got.reshape(len(lp.segments), lp.dim_sim), states[1:])
 
 
 # ---------------------------------------------------------------------------

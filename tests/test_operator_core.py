@@ -153,45 +153,6 @@ def test_law_eberly_block_forms(n):
 
 
 # ---------------------------------------------------------------------------
-# assemble_generator
-# ---------------------------------------------------------------------------
-
-
-def test_assemble_zero_controls():
-    g = oc.assemble_generator(oc.ControlVector(), 2)
-    assert np.array_equal(g.matrix, np.zeros((8, 8)))
-
-
-def test_assemble_single_term():
-    g = oc.assemble_generator(oc.ControlVector(v1=1.0), 3)
-    assert np.array_equal(g.matrix, oc.build_coupling("V1", 3).matrix)
-
-
-def test_assemble_combination_skew(rng):
-    vals = dict(zip(oc.CONTROL_NAMES, rng.uniform(-1, 1, 12)))
-    g = oc.assemble_generator(oc.ControlVector(**vals), 3)
-    assert frob(g.matrix + g.matrix.conj().T) < 1e-12
-    ref = sum(v * oc.build_coupling(cid, 3).matrix
-              for v, cid in zip(vals.values(), oc.ION_IDS))
-    assert np.max(np.abs(g.matrix - ref)) < 1e-12
-
-
-def test_control_bound_check():
-    c = oc.ControlVector(v1=2.0)
-    with pytest.raises(ValueError):
-        c.check_bound(1.0)
-    c.check_bound(2.5)
-
-
-def test_complex_control_reconstruction():
-    c = oc.ControlVector(v1r=0.25, w1r=-0.5, w2b=1.0)
-    u = c.complex_controls()
-    assert u["1r"] == 0.25 - 0.5j
-    assert u["2b"] == 1.0j
-    assert u["1"] == 0.0
-
-
-# ---------------------------------------------------------------------------
 # segment flows
 # ---------------------------------------------------------------------------
 

@@ -255,12 +255,9 @@ def test_decomposition_rejects_excessive_order():
     sd.decompose(op, 4)
 
 
-def test_decomposition_rejects_carrier_and_composite():
+def test_decomposition_rejects_carrier():
     with pytest.raises(ValueError):
         sd.decompose(oc.build_coupling("V1", 4), 3)
-    comp = oc.assemble_generator(oc.ControlVector(v1r=1, w2b=1), 4)
-    with pytest.raises(ValueError):
-        sd.decompose(comp, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -325,38 +322,3 @@ def test_eigenvector_localization(cid, n):
     paired = set(op.pj) | set(op.pk)
     genuine_kernel = [j for j in range(8) if j not in paired]
     assert len(genuine_kernel) == 2 and max(genuine_kernel) < 4
-
-
-# ---------------------------------------------------------------------------
-# generic labeled entry point
-# ---------------------------------------------------------------------------
-
-
-def test_decompose_with_labels_matches_pair_version():
-    n, m = 6, 4
-    op = oc.build_coupling("V1r", n)
-    u = op.matrix
-    w, v = np.linalg.eigh(1j * u)
-    moduli = sorted(set(np.round(np.abs(w), 10)))
-    blocks = []
-    for mod in moduli:
-        cols = v[:, np.abs(np.abs(w) - mod) < 1e-9]
-        rad = int(round(mod**2))
-        blocks.append((sd.ExactFrequency.from_radicand(rad), cols))
-    dec = sd.decompose_with_labels(u, blocks, m)
-    ref = sd.decompose(op, m)
-    assert np.max(np.abs(dec.u_dec - ref.u_dec)) < 1e-9
-    assert np.max(np.abs(dec.u_rho - ref.u_rho)) < 1e-9
-    got = sum(dec.parts) + dec.u_dec + dec.u_rho
-    assert np.max(np.abs(got - u)) < 1e-9
-
-
-def test_decompose_with_labels_rejects_wrong_labels():
-    op = oc.build_coupling("V1r", 4)
-    u = op.matrix
-    w, v = np.linalg.eigh(1j * u)
-    cols = v[:, np.abs(np.abs(w) - 1.0) < 1e-9]
-    bad = [(sd.ExactFrequency.from_radicand(3), cols),
-           (sd.ExactFrequency.zero(), v[:, np.abs(w) < 1e-9])]
-    with pytest.raises(ValueError):
-        sd.decompose_with_labels(u, bad, 2)

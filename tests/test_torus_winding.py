@@ -129,14 +129,6 @@ def test_zero_class_selection_is_honest():
                                  eps=0.1, s_max=2000))
 
 
-def test_cancellation():
-    token = tw.CancelToken()
-    token.cancel()
-    req = tw.DecouplingRequest(id="V1r", m=4, ell=2, t_hat=1.3, eps=1e-9, s_max=10**7)
-    with pytest.raises(tw.SearchCancelled):
-        tw.find_decoupling_time(req, cancel=token)
-
-
 def test_bound_profile_matches_search():
     req = tw.DecouplingRequest(id="V1r", m=3, ell=2, t_hat=np.pi, eps=0.1)
     res = tw.find_decoupling_time(req)
