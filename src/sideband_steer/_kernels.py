@@ -12,6 +12,8 @@ a bundle of independent 2x2 rotations, never a dense matrix exponential.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -65,28 +67,93 @@ def rotate_pairs_matrix(mat, pj, pk, betas, kinds):
 # with tbar = t_hat + step*s.  Returns the first s in [s0, s1) whose bound
 # is below eps (or -1) plus the best (s, bound) seen, so exhausted searches
 # can report how close they got.
+#
+# The work follows the survivors, not the window.  With thr = max(eps,
+# best_bound), an s matters only if bound(s) < thr: otherwise it is neither
+# a hit nor a strict new best.  A float sum of nonnegative terms never falls
+# below any partial sum, so each class term is evaluated only on the s whose
+# running sum is still below thr, and the sum is accumulated in class order,
+# exactly as a full evaluation would: tot, the first hit and the first
+# argmin are bit for bit the same.  Classes whose frequencies are all 0 add
+# exactly 0.0 and are skipped.  The window is worked through in blocks of
+# _BLOCK steps, in order; a block's best tightens thr for the next ones.
+#
+# Before any sin, a thr < 2 screens frequency by frequency without one: a
+# term 2|sin(x)| < thr needs x within asin(thr/2) of a multiple of pi, i.e.
+# y = (w/pi)*half within asin(thr/2)/pi of an integer.  The margin covers
+# what separates y from x/pi and numpy's sin from the true sine: a few ulps
+# of the largest |y| in the block (the roundings of w/pi, of the products
+# and of sin's argument reduction all scale with |y|), a few ulps of 1 for
+# the roundings of asin and of the division by pi, and a relative 2^-40 on
+# thr/2 for the rounding of sin near a multiple of pi.  A fixed absolute
+# margin would fall below one ulp of y at large s.  The screen only ever
+# passes too many s; the true terms decide.
 # ---------------------------------------------------------------------------
+
+_SCREEN_ULPS = 8.0
+_EPS64 = float(np.finfo(np.float64).eps)
+_BLOCK = 1 << 15  # steps per pass over the window, so its arrays stay in cache
 
 
 def scan_decoupling(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
-    s = np.arange(s0, s1, dtype=np.float64)
-    half = 0.5 * (t_hat + step * s)
-    tot = np.zeros_like(half)
-    for c in range(len(cls_ptr) - 1):
-        lo, hi = cls_ptr[c], cls_ptr[c + 1]
-        if hi == lo:
-            continue
+    classes = [(lo, hi) for lo, hi in zip(cls_ptr[:-1], cls_ptr[1:]) if np.any(w[lo:hi])]
+    w_pi = w[w != 0.0] / np.pi
+    # work arrays of one block, reused: fresh ones would be faulted in each time
+    work = np.empty((4, min(_BLOCK, s1 - s0)))
+    work[0] = np.arange(work.shape[1])
+    cand = -1
+    for b0 in range(s0, s1, _BLOCK):
+        hit, best_s, best_bound = _scan_block(t_hat, step, w, classes, w_pi, eps, b0,
+                                              min(b0 + _BLOCK, s1), best_s, best_bound,
+                                              work)
+        if cand < 0:
+            cand = hit
+    return cand, best_s, best_bound
+
+
+def _scan_block(t_hat, step, w, classes, w_pi, eps, s0, s1, best_s, best_bound, work):
+    offsets, half, y, r = work[:, :s1 - s0]
+    np.add(offsets, float(s0), out=half)  # exact: s < 2**53
+    half *= step
+    half += t_hat
+    half *= 0.5  # 0.5 * (t_hat + step * s), rounded the same way
+    thr = max(eps, best_bound)
+    idx = None  # survivors as positions in the block; None means all
+    if thr < 2.0:
+        a = math.asin(min(1.0, 0.5 * thr * (1.0 + 2.0**-40))) / math.pi
+        hmax = max(abs(float(half[0])), abs(float(half[-1])))
+        for wj in w_pi:
+            tol = a + _SCREEN_ULPS * _EPS64 * (abs(float(wj)) * hmax + 1.0)
+            if idx is None:
+                np.multiply(half, wj, out=y)
+                np.rint(y, out=r)
+                y -= r
+                idx = np.flatnonzero(np.abs(y, out=y) < tol)
+            else:
+                z = wj * half[idx]
+                z -= np.rint(z)
+                idx = idx[np.abs(z, out=z) < tol]
+    if idx is None:
+        idx = np.arange(len(half))
+    h = half[idx]
+    tot = np.zeros_like(h)
+    for lo, hi in classes:
         if hi - lo == 1:
-            m = np.abs(np.sin(w[lo] * half))
+            m = np.abs(np.sin(w[lo] * h))
         else:
-            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], half))).max(axis=0)
+            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], h))).max(axis=0)
         tot += 2.0 * m
+        keep = tot < thr
+        if not keep.all():
+            idx, h, tot = idx[keep], h[keep], tot[keep]
+    if len(tot) == 0:
+        return -1, best_s, best_bound
     i = int(np.argmin(tot))
     if tot[i] < best_bound:
         best_bound = float(tot[i])
-        best_s = s0 + i
+        best_s = s0 + int(idx[i])
     hits = np.flatnonzero(tot < eps)
-    cand = int(s0 + hits[0]) if hits.size else -1
+    cand = int(s0 + idx[hits[0]]) if hits.size else -1
     return cand, best_s, best_bound
 
 

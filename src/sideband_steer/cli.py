@@ -373,11 +373,11 @@ def cmd_run_e2e(args) -> int:
     _write_json(outdir / "lifted_plan.json", lp.to_json(), config)
 
     try:
-        report = ls.error_report(plan, lp, phi0, phiT)
+        states, tail = ls.simulate_lifted(lp, phi0)
+        report = ls.error_report(plan, lp, phi0, phiT, simulated=(states, tail))
     except InternalConsistencyError as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    states, _ = ls.simulate_lifted(lp, phi0)
     _write_trajectory(outdir / "trajectory.csv", lp, states, report["final_error"])
     # plot data: predicted error budget vs segment index
     with open(outdir / "budget.csv", "w", newline="") as fh:

@@ -13,6 +13,7 @@ detector, not a truncation estimate.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,10 +57,29 @@ class LiftedSegment:
 
     @classmethod
     def from_json(cls, d: dict) -> "LiftedSegment":
-        return cls(coupling=d["coupling"], amplitude=d["amplitude"],
-                   duration=d["duration"], origin=d["origin"],
-                   predicted_error=d["predicted_error"], s=d["s"],
-                   t_hat=d["t_hat"], nu_kernel=d["nu_kernel"])
+        """Parse one segment; a wrongly typed or out-of-range field is a ValueError."""
+        seg = cls(coupling=d["coupling"], amplitude=d["amplitude"],
+                  duration=d["duration"], origin=d["origin"],
+                  predicted_error=d["predicted_error"], s=d["s"],
+                  t_hat=d["t_hat"], nu_kernel=d["nu_kernel"])
+        if seg.coupling not in oc.ION_IDS:
+            raise ValueError(f"unknown coupling {seg.coupling!r}")
+        if seg.s is None:  # carrier
+            return seg
+        if not _is_int(seg.s) or seg.s < 0:
+            raise ValueError(f"winding index s must be a non-negative integer, not {seg.s!r}")
+        if not oc.is_sideband(seg.coupling):
+            raise ValueError(f"carrier {seg.coupling} carries a winding index")
+        if not _is_int(seg.nu_kernel) or seg.nu_kernel < 1:
+            raise ValueError(f"nu_kernel must be an integer >= 1, not {seg.nu_kernel!r}")
+        if not (_is_int(seg.t_hat) or isinstance(seg.t_hat, float)) \
+                or not math.isfinite(seg.t_hat):
+            raise ValueError(f"t_hat must be a finite number, not {seg.t_hat!r}")
+        return seg
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
@@ -212,18 +232,19 @@ def simulate_lifted(lp: LiftedPlan, phi0: np.ndarray) -> tuple[np.ndarray, float
 
 
 def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
-                 phiT: np.ndarray) -> dict:
+                 phiT: np.ndarray, simulated: tuple | None = None) -> dict:
     """End-to-end tracking report with the iterated-approximation verdict.
 
     Checks both the unconditional budget (lifted vs modal final state is
     within the summed per-segment bounds) and the end-to-end triangle
     inequality; violation of either raises, since the underlying estimate
-    is exact mathematics.
+    is exact mathematics.  ``simulated`` is ``simulate_lifted(lp, phi0)``
+    when the caller has already run it.
     """
     dim = lp.dim_sim
     phi0 = np.asarray(phi0, dtype=np.complex128)
     phiT = np.asarray(phiT, dtype=np.complex128)
-    states, tail = simulate_lifted(lp, phi0)
+    states, tail = simulate_lifted(lp, phi0) if simulated is None else simulated
     final = states[-1]
     modal = simulate_plan_modal(plan, phi0)[-1]
     modal_p = np.zeros(dim, dtype=np.complex128)

@@ -7,6 +7,19 @@ re-verified with fixed-point integer arithmetic before it is accepted, so
 the certified bound never depends on float argument reduction at huge
 t_bar.  The same fixed-point reduction supplies exact rotation angles to
 the lifted simulator.
+
+A search costs in proportion to the index it ends at, not to a fixed
+window.  It scans s upward in windows of _CHUNK_FIRST steps that double up
+to _CHUNK_MAX, so a hit at s=374 scans a few thousand steps, not a million.  Within a window the
+kernel (``_kernels.scan_decoupling``) evaluates a class term only where the
+float sum so far is below max(eps, best bound so far): a float sum of
+nonnegative terms never drops below a partial sum, so the pruned s can be
+neither a hit nor a strictly better bound, and the survivors' sums are
+accumulated in the same order as a full evaluation.  Before any sin, each
+frequency screens the window by the distance of w*t_bar/(2*pi) to an
+integer, with a margin of a few ulps of its largest value in the window.
+Hits, exhausted best indices and best bounds are therefore bit for bit those
+of evaluating every class at every s.
 """
 
 from __future__ import annotations
@@ -24,6 +37,9 @@ from . import spectral_decoupling as sd
 from .errors import InternalConsistencyError, SearchExhaustedError
 
 DEFAULT_S_MAX = 10**7
+# scan windows: the first is small and each next one doubles, up to the cap
+_CHUNK_FIRST = 4096
+_CHUNK_MAX = 1_000_000
 _SQRT_DIGITS = 44
 TWO_PI = 2.0 * math.pi
 
@@ -160,11 +176,12 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
                 nu_kernel=nu_kernel, class_order=order)
         return None
 
-    chunk = 1_000_000
+    chunk = _CHUNK_FIRST
     best_s, best_bound = -1, math.inf
     s_next = 0
     while s_next <= req.s_max:
         s_hi = min(s_next + chunk, req.s_max + 1)
+        chunk = min(2 * chunk, _CHUNK_MAX)
         # slack covers float64 argument-reduction drift at the chunk's top
         theta_max = max_w * (abs(req.t_hat) + step * s_hi)
         eps_scan = req.eps + 4e-15 * theta_max * max(1, nterms) + 1e-13

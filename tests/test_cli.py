@@ -220,11 +220,21 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     (["lift", "--plan", "{dir}/nope.json", "--eps", "0.1"], 2),
     (["simulate", "--lifted", "{dir}/nope.json"], 2),
     (["classes", "--config={dir}/cfg.json"], 0),
+    (["simulate", "--lifted", "{dir}/s_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/s_negative.json"], 2),
+    (["simulate", "--lifted", "{dir}/s_float.json"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
-        "lifted-missing", "config-equals"])
+        "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
+        "lifted-s-float"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
+    for name, s in (("s_str", "x"), ("s_negative", -3), ("s_float", 2.5)):
+        segment = {"coupling": "V1r", "amplitude": 1.0, "duration": 1.0, "origin": 0,
+                   "predicted_error": 0.01, "s": s, "t_hat": 1.0, "nu_kernel": 1}
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01,
+             "segments": [segment]}))
     # --output-dir goes first so that a trailing --config really is last
     argv = argv[:1] + ["--output-dir", str(tmp_path)] + [a.format(dir=tmp_path) for a in argv[1:]]
     assert run(argv) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from sideband_steer import _kernels
 from sideband_steer import operator_core as oc
 from sideband_steer import spectral_decoupling as sd
 from sideband_steer import torus_winding as tw
@@ -25,6 +27,40 @@ def brute_bound(m, ell, t_hat, s):
         tot += max(vals)
     tot += 2 * abs(np.sin(np.sqrt(m - 1) * tbar / 2))
     return tot
+
+
+def full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1):
+    """Test-local oracle for the scan kernel: every class on every s."""
+    s = np.arange(s0, s1, dtype=np.float64)
+    half = 0.5 * (t_hat + step * s)
+    tot = np.zeros_like(half)
+    for c in range(len(cls_ptr) - 1):
+        lo, hi = cls_ptr[c], cls_ptr[c + 1]
+        if hi == lo:
+            continue
+        if hi - lo == 1:
+            m = np.abs(np.sin(w[lo] * half))
+        else:
+            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], half))).max(axis=0)
+        tot += 2.0 * m
+    return tot
+
+
+def full_scan(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
+    tot = full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1)
+    i = int(np.argmin(tot))
+    if tot[i] < best_bound:
+        best_bound = float(tot[i])
+        best_s = s0 + i
+    hits = np.flatnonzero(tot < eps)
+    cand = int(s0 + hits[0]) if hits.size else -1
+    return cand, best_s, best_bound
+
+
+def _scan_arrays(members):
+    w = np.array([math.sqrt(r) for rads in members for r in rads], dtype=np.float64)
+    cls_ptr = np.cumsum([0] + [len(rads) for rads in members]).astype(np.int64)
+    return w, cls_ptr
 
 
 def brute_smallest(m, ell, t_hat, eps, s_cap):
@@ -83,6 +119,41 @@ def test_monotone_budget():
         prev_s = s
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("s_base", [0, 10**6, 10**9, 10**12])
+def test_scan_kernel_matches_full_evaluation(seed, s_base):
+    # the pruned, screened scan returns exactly what evaluating every class
+    # on every s returns, also where one ulp of w*t_bar/2 is large.  The last
+    # thresholds sit one ulp above the window's least bound, so its argmin is
+    # the first hit and, for m=3, ell=2 (one nonzero frequency), lies on the
+    # edge of the screen, whose margin then decides
+    rng = np.random.default_rng([seed, s_base])
+    for trial in range(12):
+        m = 3 if trial == 0 else int(rng.choice([3, 4, 6, 8]))
+        part = sd.resonance_partition(m)
+        ell = 2 if trial == 0 else int(rng.integers(1, part.count + 1))
+        _, _, members, nu_kernel = tw._torus_data(m, ell)
+        w, cls_ptr = _scan_arrays(members)
+        step = 2 * np.pi / np.sqrt(nu_kernel)
+        t_hat = float(rng.uniform(-5, 5))
+        eps0 = float(10 ** rng.uniform(-3, 0.5))
+        s0 = s_base + int(rng.integers(0, 10**5))
+        # odd trials span several of the kernel's blocks
+        s1 = s0 + int(rng.integers(1, 80000 if trial % 2 else 6000))
+        tot = full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1)
+        tight = float(np.nextafter(tot.min(), math.inf))
+        for eps, best_bound in ((eps0, math.inf),
+                                (eps0, float(tot.min()) * rng.uniform(0.9, 1.5)),
+                                (eps0, float(rng.uniform(0.0, 3.0))),
+                                (tight, tight)):
+            best_s = -1 if best_bound == math.inf else 7
+            args = (t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound)
+            got = _kernels.scan_decoupling(*args)
+            want = full_scan(*args)
+            assert got == want
+            assert type(got[0]) is int and type(got[1]) is int
+
+
 # ---------------------------------------------------------------------------
 # validation and failure modes
 # ---------------------------------------------------------------------------
@@ -115,6 +186,16 @@ def test_search_exhausted_carries_best():
     assert 0 <= err.best_s <= 50
     assert err.best_bound == pytest.approx(
         min(brute_bound(4, 2, 1.3, s) for s in range(51)), abs=1e-9)
+    # across several scan windows, best_s is the first argmin of the full scan
+    _, _, members, nu_kernel = tw._torus_data(4, 2)
+    w, cls_ptr = _scan_arrays(members)
+    tot = full_scan_bounds(1.3, 2 * np.pi / np.sqrt(nu_kernel), w, cls_ptr, 0, 20001)
+    with pytest.raises(SearchExhaustedError) as exc:
+        tw.find_decoupling_time(dataclasses.replace(req, s_max=20000))
+    assert exc.value.best_s == int(np.argmin(tot))
+    assert exc.value.best_bound == pytest.approx(float(tot.min()), abs=1e-9)
+    assert exc.value.best_bound == pytest.approx(
+        brute_bound(4, 2, 1.3, exc.value.best_s), abs=1e-9)
 
 
 def test_zero_class_selection_is_honest():
