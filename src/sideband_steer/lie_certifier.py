@@ -2,11 +2,18 @@
 
 The closure works over the real vector space of traceless skew-Hermitian
 matrices (dimension d^2 - 1), with the inner product Re tr(A^dag B).
-Rank detection is modified Gram-Schmidt with a relative tolerance on
-Frobenius-normalized candidates; a singular-value pass over the final
-basis cross-checks the count.  Bracketing order is deterministic: each new
-basis element is bracketed against all earlier ones, original generators
-first, which keeps bracket depth low.
+The orthonormal basis is one preallocated (d^2 - 1, d, d) complex array,
+read also as a (d^2 - 1, 2 d^2) real array B of stacked basis vectors.
+Rank detection is classical Gram-Schmidt with one reorthogonalization
+(CGS2, "twice is enough"): a Frobenius-normalized candidate v is
+projected twice against the whole stacked basis, v -= B^T (B v), and is
+accepted when the relative residual exceeds the tolerance.  Two
+singular-value passes cross-check the result: one for the orthonormality
+of the basis and one for the rank of the raw accepted candidates.
+Bracketing order is deterministic: each new basis element b_j is bracketed
+against all earlier ones, original generators first, which keeps bracket
+depth low; the brackets of round j are formed in one batched product
+M[:j] b_j - b_j M[:j] and offered to the basis one at a time, in order.
 """
 
 from __future__ import annotations
@@ -87,7 +94,11 @@ class ClosureReport:
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+    """Real coordinates of a complex matrix, re and im interleaved.
+
+    The dot product of two such vectors is Re tr(A^dag B).
+    """
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(-1)
 
 
 def lie_closure(family: GeneratorFamily, tol: float = DEFAULT_TOL) -> ClosureReport:
@@ -107,50 +118,52 @@ def closure_basis(family: GeneratorFamily,
         raise ValueError("tol must lie in (0, 1e-3]")
     d = family.dim
     target = d * d - 1
-    basis_mats: list[np.ndarray] = []
-    basis_vecs: list[np.ndarray] = []
-    raw_accepted: list[np.ndarray] = []
+    # one storage: mats[k] is the k-th basis matrix and basis[k] the same
+    # numbers read as a real vector, so a row written to basis is in mats
+    mats = np.zeros((target, d, d), dtype=np.complex128)
+    basis = mats.view(np.float64).reshape(target, 2 * d * d)
+    raw_accepted = np.zeros_like(basis)
     history: list[tuple[int, int]] = []
+    k = 0
 
-    def try_add(m: np.ndarray) -> bool:
+    def try_add(m: np.ndarray) -> None:
+        nonlocal k
         nrm = np.linalg.norm(m)
         if nrm < 1e-13:
-            return False
-        v = _vec(m / nrm)
-        for _ in range(2):  # twice-is-enough reorthogonalization
-            for b in basis_vecs:
-                v = v - np.dot(b, v) * b
+            return
+        u = _vec(m / nrm)
+        bk = basis[:k]
+        v = u - bk.T @ (bk @ u)
+        v -= bk.T @ (bk @ v)  # twice-is-enough reorthogonalization
         rn = np.linalg.norm(v)
         if rn <= tol:
-            return False
-        raw_accepted.append(_vec(m / nrm))
-        v = v / rn
-        basis_vecs.append(v)
-        re, im = v[:d * d], v[d * d:]
-        basis_mats.append((re + 1j * im).reshape(d, d))
-        return True
+            return
+        raw_accepted[k] = u
+        basis[k] = v / rn
+        k += 1
 
     for g in family.members:
+        if k >= target:
+            break
         try_add(g)
-    history.append((0, len(basis_vecs)))
+    history.append((0, k))
 
     j = 1
-    while j < len(basis_mats) and len(basis_mats) < target:
-        bj = basis_mats[j]
-        for i in range(j):
-            if len(basis_mats) >= target:
+    while j < k < target:
+        bj = mats[j]
+        for c in mats[:j] @ bj - bj @ mats[:j]:
+            if k >= target:
                 break
-            bi = basis_mats[i]
-            try_add(bi @ bj - bj @ bi)
-        history.append((j, len(basis_mats)))
+            try_add(c)
+        history.append((j, k))
         j += 1
 
-    dim = len(basis_vecs)
+    dim = k
     if dim:
-        sv = np.linalg.svd(np.stack(basis_vecs), compute_uv=False)
+        sv = np.linalg.svd(basis[:dim], compute_uv=False)
         if abs(sv[0] - 1.0) > 1e-8 or abs(sv[-1] - 1.0) > 1e-8:
             raise InternalConsistencyError("orthonormal basis lost orthonormality")
-        sv_raw = np.linalg.svd(np.stack(raw_accepted), compute_uv=False)
+        sv_raw = np.linalg.svd(raw_accepted[:dim], compute_uv=False)
         rank_raw = int(np.sum(sv_raw > sv_raw[0] * tol * 1e-3))
         if rank_raw != dim:
             raise InternalConsistencyError(
@@ -158,7 +171,7 @@ def closure_basis(family: GeneratorFamily,
     report = ClosureReport(dimension=dim, target=target, certified=dim == target,
                            basis_rank_history=history, tolerance=tol,
                            labels=list(family.labels))
-    return report, basis_mats
+    return report, list(mats[:dim])
 
 
 def resolve_family(selector) -> tuple[str, ...]:

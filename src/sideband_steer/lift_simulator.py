@@ -65,6 +65,11 @@ class LiftedSegment:
         if seg.coupling not in oc.ION_IDS:
             raise ValueError(f"unknown coupling {seg.coupling!r}")
         if seg.s is None:  # carrier
+            if not _is_finite(seg.amplitude):
+                raise ValueError(f"amplitude must be a finite number, not {seg.amplitude!r}")
+            if not _is_finite(seg.duration) or seg.duration < 0:
+                raise ValueError(
+                    f"duration must be a finite number >= 0, not {seg.duration!r}")
             return seg
         if not _is_int(seg.s) or seg.s < 0:
             raise ValueError(f"winding index s must be a non-negative integer, not {seg.s!r}")
@@ -72,14 +77,22 @@ class LiftedSegment:
             raise ValueError(f"carrier {seg.coupling} carries a winding index")
         if not _is_int(seg.nu_kernel) or seg.nu_kernel < 1:
             raise ValueError(f"nu_kernel must be an integer >= 1, not {seg.nu_kernel!r}")
-        if not (_is_int(seg.t_hat) or isinstance(seg.t_hat, float)) \
-                or not math.isfinite(seg.t_hat):
+        if not _is_finite(seg.t_hat):
             raise ValueError(f"t_hat must be a finite number, not {seg.t_hat!r}")
         return seg
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass
@@ -97,9 +110,19 @@ class LiftedPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "LiftedPlan":
-        return cls(p=d["p"], eps=d["eps"], dim_sim=d["dim_sim"],
-                   total_predicted_error=d["total_predicted_error"],
-                   segments=[LiftedSegment.from_json(s) for s in d["segments"]])
+        """Parse a lifted plan; a wrongly typed or out-of-range field is a ValueError."""
+        lp = cls(p=d["p"], eps=d["eps"], dim_sim=d["dim_sim"],
+                 total_predicted_error=d["total_predicted_error"],
+                 segments=[LiftedSegment.from_json(s) for s in d["segments"]])
+        if not _is_int(lp.p) or not sd.is_prime(lp.p):
+            raise ValueError(f"p must be a prime integer, not {lp.p!r}")
+        if not _is_int(lp.dim_sim) or lp.dim_sim < 4 * (lp.p + 1):
+            raise ValueError(f"dim_sim must be an integer >= 4 * (p + 1), not {lp.dim_sim!r}")
+        for name in ("eps", "total_predicted_error"):
+            x = getattr(lp, name)
+            if not _is_finite(x) or x < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, not {x!r}")
+        return lp
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:

@@ -223,18 +223,36 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     (["simulate", "--lifted", "{dir}/s_str.json"], 2),
     (["simulate", "--lifted", "{dir}/s_negative.json"], 2),
     (["simulate", "--lifted", "{dir}/s_float.json"], 2),
+    (["simulate", "--lifted", "{dir}/p_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/p_composite.json"], 2),
+    (["simulate", "--lifted", "{dir}/dim_sim_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/eps_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/carrier_duration_str.json"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
-        "lifted-s-float"])
+        "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
+        "lifted-eps-str", "lifted-carrier-duration-str"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
-    for name, s in (("s_str", "x"), ("s_negative", -3), ("s_float", 2.5)):
-        segment = {"coupling": "V1r", "amplitude": 1.0, "duration": 1.0, "origin": 0,
-                   "predicted_error": 0.01, "s": s, "t_hat": 1.0, "nu_kernel": 1}
+    sideband = {"coupling": "V1r", "amplitude": 1.0, "duration": 1.0, "origin": 0,
+                "predicted_error": 0.01, "s": 1, "t_hat": 1.0, "nu_kernel": 1}
+    carrier = {"coupling": "V1", "amplitude": 1.0, "duration": 1.0, "origin": 1,
+               "predicted_error": 0.0, "s": None, "t_hat": None, "nu_kernel": None}
+    # each file breaks one field of an otherwise valid lifted plan:
+    # (plan fields, sideband fields, carrier fields)
+    for name, fields, side, carr in (
+            ("s_str", {}, {"s": "x"}, {}),
+            ("s_negative", {}, {"s": -3}, {}),
+            ("s_float", {}, {"s": 2.5}, {}),
+            ("p_str", {"p": "x"}, {}, {}),
+            ("p_composite", {"p": 4}, {}, {}),
+            ("dim_sim_str", {"dim_sim": "x"}, {}, {}),
+            ("eps_str", {"eps": "x"}, {}, {}),
+            ("carrier_duration_str", {}, {}, {"duration": "x"})):
         (tmp_path / f"{name}.json").write_text(json.dumps(
-            {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01,
-             "segments": [segment]}))
+            {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01, **fields,
+             "segments": [{**sideband, **side}, {**carrier, **carr}]}))
     # --output-dir goes first so that a trailing --config really is last
     argv = argv[:1] + ["--output-dir", str(tmp_path)] + [a.format(dir=tmp_path) for a in argv[1:]]
     assert run(argv) == want

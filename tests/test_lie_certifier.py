@@ -191,6 +191,95 @@ def test_rank_history_monotone():
     assert ranks[-1] == 143
 
 
+def test_modal_full_family_n5():
+    rep = lc.certify_modal(5, "full")
+    assert rep.dimension == 399 == rep.target
+    assert rep.certified
+    ranks = [r for _, r in rep.basis_rank_history]
+    assert all(b >= a for a, b in zip(ranks, ranks[1:]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the closure against the per-vector loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def closure_oracle(family, tol=lc.DEFAULT_TOL):
+    """Per-vector modified Gram-Schmidt, run twice, one basis vector at a time.
+
+    Same bracket order, acceptance rule and early stop as the closure; also
+    returns the residual of every accepted and every rejected candidate.
+    """
+    d = family.dim
+    target = d * d - 1
+    mats, vecs, history, accepted, rejected = [], [], [], [], []
+
+    def try_add(m):
+        nrm = np.linalg.norm(m)
+        if nrm < 1e-13:
+            return
+        v = np.concatenate([(m / nrm).real.ravel(), (m / nrm).imag.ravel()])
+        for _ in range(2):
+            for b in vecs:
+                v = v - np.dot(b, v) * b
+        rn = np.linalg.norm(v)
+        if rn <= tol:
+            rejected.append(rn)
+            return
+        accepted.append(rn)
+        v = v / rn
+        vecs.append(v)
+        mats.append((v[:d * d] + 1j * v[d * d:]).reshape(d, d))
+
+    for g in family.members:
+        try_add(g)
+    history.append((0, len(mats)))
+    j = 1
+    while j < len(mats) and len(mats) < target:
+        for i in range(j):
+            if len(mats) >= target:
+                break
+            try_add(mats[i] @ mats[j] - mats[j] @ mats[i])
+        history.append((j, len(mats)))
+        j += 1
+    return history, mats, accepted, rejected
+
+
+def _oracle_family(name):
+    kind, _, arg = name.partition(":")
+    if kind == "modal":
+        return lc.GeneratorFamily.from_couplings(lc.resolve_family(arg), 3)
+    if kind == "law-eberly":
+        n, star = int(arg[:-1]), arg[-1]
+        return lc.GeneratorFamily.from_couplings(("V", "W", f"V{star}", f"W{star}"), n)
+    if kind == "haar":
+        base = lc.GeneratorFamily.from_couplings(["V", "W", "Vr", "Wr"], 3)
+        u = haar_unitary(6, np.random.default_rng(5))
+        return lc.GeneratorFamily([u @ m @ u.conj().T for m in base.members],
+                                  list(base.labels))
+    assert kind == "rescaled"
+    ids = ["V1", "W1", "V1r", "W1r"]
+    base = lc.GeneratorFamily.from_couplings(ids, 3)
+    scales = np.random.default_rng(6).uniform(0.1, 10, len(ids))
+    return lc.GeneratorFamily([s * m for s, m in zip(scales, base.members)], ids)
+
+
+@pytest.mark.parametrize("name", [
+    "modal:full", "modal:red-only", "modal:blue-only",
+    *[f"law-eberly:{n}{star}" for n in (2, 3, 4, 5) for star in "rb"],
+    "haar", "rescaled"])
+def test_closure_matches_per_vector_oracle(name):
+    fam = _oracle_family(name)
+    rep, basis = lc.closure_basis(fam)
+    history, mats, accepted, rejected = closure_oracle(fam)
+    assert rep.dimension == len(mats)
+    assert rep.basis_rank_history == history
+    assert max(np.max(np.abs(a - b)) for a, b in zip(basis, mats)) < 1e-10
+    # every decision has a wide margin on both sides of tol = 1e-9
+    assert min(accepted) > 1e-3
+    assert max(rejected, default=0.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # appendix structure probes: the closure at n=3 contains the block shapes
 # used in the rank argument
