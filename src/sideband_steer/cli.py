@@ -35,7 +35,6 @@ EXIT_PLANNER = 3
 EXIT_SEARCH = 4
 
 SEED_ENV = "SIDEBAND_STEER_SEED"
-BACKEND = "numpy"  # recorded in every artifact's config
 
 
 @dataclass
@@ -108,9 +107,7 @@ def _write_json(path: Path, payload: dict, config: dict) -> None:
 
 
 def _config_dict(args, keys) -> dict:
-    d = {k: getattr(args, k) for k in keys if hasattr(args, k)}
-    d["backend"] = BACKEND
-    return d
+    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
 def _walk_parsers(parser):
@@ -137,7 +134,8 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
 
     Accepts either a plain config dict or a previously written artifact
     (whose settings live under its "config" key), so any run can be
-    reproduced directly from its outputs.
+    reproduced directly from its outputs.  Keys that no parser knows, such
+    as the "backend" of older artifacts, are ignored.
     """
     path = _config_path(argv)
     if path is not None:
@@ -343,7 +341,7 @@ def cmd_run_e2e(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     config = {**{k: v for k, v in asdict(cfg).items() if k != "output_dir"},
               "phi0": args.phi0, "phiT": args.phiT,
-              "eps_plan": cfg.planner_eps, "backend": BACKEND}
+              "eps_plan": cfg.planner_eps}
 
     p = ls.choose_prime(cfg.n)
     cert = lc.certify_modal(p, cfg.family)

@@ -18,7 +18,6 @@ M[:j] b_j - b_j M[:j] and offered to the basis one at a time, in order.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -86,11 +85,6 @@ class ClosureReport:
         return {"n": self.n, "family": list(self.labels),
                 "dimension": self.dimension, "target": self.target,
                 "certified": self.certified, "tolerance": self.tolerance}
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _vec(m: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ detector, not a truncation estimate.
 
 from __future__ import annotations
 
-import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +21,7 @@ from . import operator_core as oc
 from . import spectral_decoupling as sd
 from . import torus_winding as tw
 from .errors import InternalConsistencyError, SearchExhaustedError
-from .modal_planner import Plan, simulate_plan_modal
+from .modal_planner import Plan, _is_finite, _is_int, simulate_plan_modal
 
 
 @dataclass
@@ -82,19 +80,6 @@ class LiftedSegment:
         return seg
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    if not (_is_int(x) or isinstance(x, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 @dataclass
 class LiftedPlan:
     p: int
@@ -123,16 +108,6 @@ class LiftedPlan:
             if not _is_finite(x) or x < 0:
                 raise ValueError(f"{name} must be a finite number >= 0, not {x!r}")
         return lp
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "LiftedPlan":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def choose_prime(n: int) -> int:

@@ -10,7 +10,7 @@ possible duration.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,6 +25,20 @@ _PRUNE_TOL = 1e-13
 DEFAULT_BUDGET = 12_000
 
 FAMILIES = ("full", "red-only", "blue-only")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """A finite JSON number; an int beyond the float range does not count."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,8 @@ class GeneratorId:
         if self.kind == "sideband":
             if self.star not in ("r", "b") or not self.class_index:
                 raise ValueError("sideband generators need star and class_index")
+            if not _is_int(self.class_index):
+                raise ValueError(f"class must be an integer, not {self.class_index!r}")
 
     @property
     def coupling(self) -> str:
@@ -85,7 +101,13 @@ class PlanSegment:
 
     @classmethod
     def from_json(cls, d: dict) -> "PlanSegment":
-        return cls(GeneratorId.from_json(d["generator"]), d["amplitude"], d["duration"])
+        """Parse one segment; a wrongly typed or out-of-range field is a ValueError."""
+        seg = cls(GeneratorId.from_json(d["generator"]), d["amplitude"], d["duration"])
+        if not _is_finite(seg.amplitude):
+            raise ValueError(f"amplitude must be a finite number, not {seg.amplitude!r}")
+        if not _is_finite(seg.duration) or seg.duration < 0:
+            raise ValueError(f"duration must be a finite number >= 0, not {seg.duration!r}")
+        return seg
 
 
 @dataclass
@@ -112,21 +134,23 @@ class Plan:
 
     @classmethod
     def from_json(cls, d: dict) -> "Plan":
-        return cls(p=d["p"], M=d["M"], seed=d["seed"],
+        """Parse a plan; a wrongly typed or out-of-range field is a ValueError."""
+        plan = cls(p=d["p"], M=d["M"], seed=d["seed"],
                    family=d.get("family", "full"),
                    target_error=d["target_error"],
                    achieved_error=d["achieved_error"],
                    segments=[PlanSegment.from_json(s) for s in d["segments"]])
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Plan":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        if not _is_int(plan.p) or not sd.is_prime(plan.p):
+            raise ValueError(f"p must be a prime integer, not {plan.p!r}")
+        if not _is_finite(plan.M) or plan.M <= 0:
+            raise ValueError(f"M must be a finite number > 0, not {plan.M!r}")
+        for name in ("target_error", "achieved_error"):
+            x = getattr(plan, name)
+            if not _is_finite(x) or x < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, not {x!r}")
+        if plan.family not in FAMILIES:
+            raise ValueError(f"unknown family {plan.family!r}")
+        return plan
 
 
 def default_generator_ids(p: int, family: str = "full") -> list[GeneratorId]:

@@ -30,11 +30,11 @@ LAW_EBERLY_IDS = ("V", "W", "Vr", "Wr", "Vb", "Wb")
 CARRIER_IDS = ("V1", "W1", "V2", "W2", "V", "W")
 ALL_IDS = ION_IDS + LAW_EBERLY_IDS
 
-# Per-phonon offset pairs and signs, fixed so that the permuted matrices
-# reproduce the closed-form block patterns (see _TTI_BLOCKS below), which
-# is the convention the whole toolkit is pinned to.  Pair for phonon m is
-# (4m + o1, 4m + o2) with coefficient sign*sqrt(m+1) for sidebands and
-# sign*1 for carriers.
+# Per-phonon offset pairs and signs, fixed so that the matrices permuted to
+# internal-major order reproduce the closed-form block patterns (transcribed
+# in tests/helpers.py), which is the convention the whole toolkit is pinned
+# to.  Pair for phonon m is (4m + o1, 4m + o2) with coefficient
+# sign*sqrt(m+1) for sidebands and sign*1 for carriers.
 _ION_TABLE = {
     "V1":  ("E", -1.0, ((1, 2), (3, 4)), False),
     "W1":  ("F", +1.0, ((1, 2), (3, 4)), False),
@@ -241,79 +241,6 @@ def truncate(cid: str, dim: int) -> TruncatedOperator:
     return TruncatedOperator(cid, dim, *_pair_arrays(cid, dim))
 
 
-def build_D(n: int) -> np.ndarray:
-    """n x n upper-shift matrix with superdiagonal sqrt(1), ..., sqrt(n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = np.zeros((n, n))
-    for j in range(1, n):
-        d[j - 1, j] = np.sqrt(j)
-    return d
-
-
-# ---------------------------------------------------------------------------
-# ordering permutation and closed-form block patterns
-# ---------------------------------------------------------------------------
-
-# Block patterns in the internal-major ordering: (row block, col block, kind)
-# with kind in {I, -I, D, -D, DT, -DT}; V-type operators carry a -i factor.
-_TTI_BLOCKS = {
-    "V1":  (-1j, (((1, 2), "I"), ((2, 1), "I"), ((3, 4), "I"), ((4, 3), "I"))),
-    "W1":  (1.0, (((1, 2), "I"), ((2, 1), "-I"), ((3, 4), "I"), ((4, 3), "-I"))),
-    "V1r": (-1j, (((1, 2), "DT"), ((2, 1), "D"), ((3, 4), "DT"), ((4, 3), "D"))),
-    "W1r": (1.0, (((1, 2), "DT"), ((2, 1), "-D"), ((3, 4), "DT"), ((4, 3), "-D"))),
-    "V1b": (-1j, (((1, 2), "D"), ((2, 1), "DT"), ((3, 4), "D"), ((4, 3), "DT"))),
-    "W1b": (1.0, (((1, 2), "D"), ((2, 1), "-DT"), ((3, 4), "D"), ((4, 3), "-DT"))),
-    "V2":  (-1j, (((1, 3), "I"), ((3, 1), "I"), ((2, 4), "I"), ((4, 2), "I"))),
-    "W2":  (1.0, (((1, 3), "I"), ((2, 4), "I"), ((3, 1), "-I"), ((4, 2), "-I"))),
-    "V2r": (-1j, (((1, 3), "D"), ((2, 4), "D"), ((3, 1), "DT"), ((4, 2), "DT"))),
-    "W2r": (1.0, (((1, 3), "D"), ((2, 4), "D"), ((3, 1), "-DT"), ((4, 2), "-DT"))),
-    "V2b": (-1j, (((1, 3), "DT"), ((2, 4), "DT"), ((3, 1), "D"), ((4, 2), "D"))),
-    "W2b": (1.0, (((1, 3), "DT"), ((2, 4), "DT"), ((3, 1), "-D"), ((4, 2), "-D"))),
-}
-
-
-def permutation_vector(n: int) -> np.ndarray:
-    """new[old] for the phonon-major -> internal-major reordering (0-based)."""
-    new = np.empty(4 * n, dtype=np.int64)
-    for m in range(n):
-        for o in range(4):
-            new[4 * m + o] = o * n + m
-    return new
-
-
-def permutation_matrix(n: int) -> np.ndarray:
-    new = permutation_vector(n)
-    p = np.zeros((4 * n, 4 * n))
-    p[new, np.arange(4 * n)] = 1.0
-    return p
-
-
-def closed_form_blocks(cid: str, n: int) -> np.ndarray:
-    """The internal-major block pattern of a coupling operator."""
-    factor, blocks = _TTI_BLOCKS[cid]
-    d = build_D(n)
-    lut = {"I": np.eye(n), "-I": -np.eye(n), "D": d, "-D": -d, "DT": d.T, "-DT": -d.T}
-    out = np.zeros((4 * n, 4 * n), dtype=np.complex128)
-    for (r, c), kindname in blocks:
-        out[(r - 1) * n:r * n, (c - 1) * n:c * n] = factor * lut[kindname]
-    return out
-
-
-def permuted_matrix(cid: str, n: int) -> np.ndarray:
-    """P . Z^(4n) . P^-1, checked against the closed-form block pattern."""
-    if not is_ion(cid):
-        raise ValueError("only ion operators have the 4-block permutation form")
-    p = permutation_matrix(n)
-    m = p @ build_coupling(cid, n).matrix @ p.T
-    ref = closed_form_blocks(cid, n)
-    err = np.max(np.abs(m - ref))
-    if err > 1e-12:
-        raise InternalConsistencyError(
-            f"permuted {cid} deviates from its closed form by {err:.3e}")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # exact segment flows
 # ---------------------------------------------------------------------------
@@ -328,30 +255,6 @@ def _check_support_inside(cid: str, phi: np.ndarray, dim_sim: int) -> None:
         if max(j, k) > dim_sim and (phi[j - 1] != 0 or (k - 1 < len(phi) and phi[k - 1] != 0)):
             raise TruncationOverflowError(
                 f"pair ({j},{k}) of {cid} touches the support but exits dim_sim={dim_sim}")
-
-
-def apply_exp_segment(cid: str, amplitude: float, duration: float,
-                      phi: np.ndarray, dim_sim: int) -> np.ndarray:
-    """exp(duration * amplitude * Z_cid) . phi via closed-form 2x2 rotations.
-
-    Raises TruncationOverflowError if a pair touching the support of phi
-    would leave the simulation window (the caller must enlarge dim_sim).
-    """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    if cid not in ALL_IDS:
-        raise ValueError(f"unknown coupling id {cid!r}")
-    phi = np.asarray(phi, dtype=np.complex128)
-    if len(phi) > dim_sim:
-        raise ValueError("state longer than dim_sim")
-    out = np.zeros(dim_sim, dtype=np.complex128)
-    out[:len(phi)] = phi
-    if is_ion(cid):
-        _check_support_inside(cid, out, dim_sim)
-    pj, pk, pc, pt, _ = _pair_arrays(cid, dim_sim)
-    betas = (duration * amplitude) * pc
-    _kernels.rotate_pairs(out, pj, pk, betas, pt)
-    return out
 
 
 def pair_arrays(cid: str, dim: int):

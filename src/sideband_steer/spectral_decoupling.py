@@ -1,10 +1,16 @@
-"""Exact frequency arithmetic, resonance classes, and decoupled decompositions.
+"""Exact frequency arithmetic, resonance classes, and decoupled generators.
 
 Frequencies of the sideband operators are sqrt(j) for integer j, carried
 exactly as (rational coefficient) * sqrt(square-free kernel).  Rational
 resonance of two nonzero frequencies is then decidable: it holds exactly
 when the kernels agree.  Nothing in this module clusters floating-point
 eigenvalues.
+
+:func:`class_mask` is the one rule that assigns a two-level pair to a
+resonance class; the planner's class generators and the winding
+certificate both route pairs through it.  The dense decomposition
+U = sum_j U_j + U_dec + U_rho and its class projectors are test oracles
+(``tests/helpers.py``) built on the same rule.
 """
 
 from __future__ import annotations
@@ -187,92 +193,21 @@ def frequencies(cid: str, n: int) -> list[ExactFrequency]:
 
 
 # ---------------------------------------------------------------------------
-# projectors and the decomposition
+# class membership and the decoupled generators
 # ---------------------------------------------------------------------------
 
 
-def _pair_index_sets(op: oc.TruncatedOperator):
-    """(indices by radicand, unpaired indices), all 0-based."""
-    by_rad: dict[int, list[int]] = {}
-    used = np.zeros(op.dim, dtype=bool)
-    for j, k, r in zip(op.pj, op.pk, op.radicand):
-        by_rad.setdefault(int(r), []).extend((int(j), int(k)))
-        used[j] = used[k] = True
-    return by_rad, np.flatnonzero(~used)
+def class_mask(part: ResonancePartition, j: int, radicands) -> np.ndarray:
+    """Which pairs lie in class j at order ``part.m``, given their radicands.
 
-
-def class_projector(cid: str, cls: ResonanceClass, m: int, dim: int) -> np.ndarray:
-    """Orthogonal projector onto the eigenspaces of the class frequencies.
-
-    Each two-level pair of the truncated operator spans exactly the
-    eigenvectors for +-i*coefficient, so the projector is diagonal in the
-    Fock basis: 1 on pair indices whose |coefficient| lies in the class
-    (and on the kernel coordinates for the zero class).
+    A pair with |coefficient| = sqrt(r) spans the eigenvectors for
+    +-i*sqrt(r), so it belongs to class j exactly when sqrt(r) shares the
+    class kernel and r <= m-2.  No coupling pair has r = 0, so the zero
+    class selects none.
     """
-    if not (oc.is_ion(cid) and oc.is_sideband(cid)):
-        raise ValueError("class projectors are defined for ion sideband operators")
-    if dim < 4 * m:
-        raise ValueError("dim must be at least 4m")
-    op = oc.truncate(cid, dim)
-    by_rad, unpaired = _pair_index_sets(op)
-    diag = np.zeros(dim)
-    if cls.nu.is_zero:
-        diag[unpaired] = 1.0
-    else:
-        for r, idx in by_rad.items():
-            if cls.matches_kernel(r) and r <= m - 2:
-                diag[idx] = 1.0
-    return np.diag(diag).astype(np.complex128)
-
-
-@dataclass
-class DecoupledDecomposition:
-    """U = sum(parts) + u_dec + u_rho with mutually annihilating terms."""
-
-    m: int
-    partition: ResonancePartition
-    parts: list[np.ndarray]
-    u_dec: np.ndarray
-    u_rho: np.ndarray
-    projectors: list[np.ndarray]  # per class, then the omega_m projector last
-
-
-def decompose(op: oc.TruncatedOperator, m: int) -> DecoupledDecomposition:
-    """Decoupled decomposition of a sideband truncation at order m.
-
-    Every pair of the operator is routed whole: to its resonance class
-    when |coeff| is among sqrt(0..m-2), to the dec part at sqrt(m-1), and
-    to the rho remainder beyond.
-    """
-    if not (oc.is_ion(op.id) and oc.is_sideband(op.id)):
-        raise ValueError("only ion sideband operators have exact sqrt-integer spectra")
-    max_rad = int(op.radicand.max()) if len(op.radicand) else 0
-    if m - 1 > max_rad:
-        raise ValueError(
-            f"order m={m} exceeds the frequency range of the {op.dim}-truncation")
-    part = resonance_partition(m)
-    by_rad, unpaired = _pair_index_sets(op)
-
-    def select(pred):
-        mask = np.array([pred(int(r)) for r in op.radicand], dtype=bool)
-        return oc.expand_pairs_dense(op.dim, op.pj[mask], op.pk[mask],
-                                     op.coeff[mask], op.kind[mask])
-
-    parts, projectors = [], []
-    for cls in part.classes:
-        if cls.nu.is_zero:
-            parts.append(np.zeros((op.dim, op.dim), dtype=np.complex128))
-        else:
-            parts.append(select(lambda r, c=cls: c.matches_kernel(r) and r <= m - 2))
-        projectors.append(class_projector(op.id, cls, m, op.dim))
-    u_dec = select(lambda r: r == m - 1)
-    u_rho = select(lambda r: r >= m)
-    diag = np.zeros(op.dim)
-    for r, idx in by_rad.items():
-        if r == m - 1:
-            diag[idx] = 1.0
-    projectors.append(np.diag(diag).astype(np.complex128))
-    return DecoupledDecomposition(m, part, parts, u_dec, u_rho, projectors)
+    cls = part.classes[j - 1]
+    return np.array([int(r) <= part.m - 2 and cls.matches_kernel(int(r))
+                     for r in radicands], dtype=bool)
 
 
 def build_decoupled_generator(cid: str, j: int, n: int) -> oc.TruncatedOperator:
@@ -286,12 +221,7 @@ def build_decoupled_generator(cid: str, j: int, n: int) -> oc.TruncatedOperator:
     part = resonance_partition(m)
     if not 1 <= j <= part.count:
         raise ValueError(f"class index {j} outside 1..{part.count}")
-    cls = part.classes[j - 1]
     op = oc.truncate(cid, 4 * n)
-    if cls.nu.is_zero:
-        mask = np.zeros(len(op.radicand), dtype=bool)
-    else:
-        mask = np.array([cls.matches_kernel(int(r)) and r <= m - 2
-                         for r in op.radicand], dtype=bool)
+    mask = class_mask(part, j, op.radicand)
     return oc.TruncatedOperator(f"{cid}[{j}]", op.dim, op.pj[mask], op.pk[mask],
                                 op.coeff[mask], op.kind[mask], op.radicand[mask])

@@ -236,9 +236,7 @@ def ell_class_betas(cid: str, dim: int, part: sd.ResonancePartition, ell: int,
                     t: float) -> tuple:
     """(pair arrays, angles) of exp(t * Z_{cid,ell}) on the class-ell pairs."""
     pj, pk, pc, pt, pr = oc.pair_arrays(cid, dim)
-    cls = part.classes[ell - 1]
-    mask = np.array([cls.matches_kernel(int(r)) and int(r) <= part.m - 2 for r in pr],
-                    dtype=bool)
+    mask = sd.class_mask(part, ell, pr)
     return (pj[mask], pk[mask], pt[mask]), pc[mask] * t
 
 

@@ -1,9 +1,21 @@
-"""Shared test oracles: independent transcriptions and synthetic models."""
+"""Shared test oracles: independent transcriptions and synthetic models.
+
+The package computes none of these at run time.  The internal-major block
+patterns of the couplings (with ``build_D`` and the reordering permutation)
+are the closed forms the C2 checks compare against, and the dense
+decomposition U = sum_j U_j + U_dec + U_rho with its class projectors is
+what C3 checks; it routes pairs through the package's own class rule,
+``spectral_decoupling.class_mask``.  ``segment_flow`` is one segment of the
+runtime ``SegmentProgram`` path that both simulators use.
+"""
+
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import expm
 
 from sideband_steer import operator_core as oc
+from sideband_steer import spectral_decoupling as sd
 
 Z = (1, "0")
 
@@ -37,12 +49,76 @@ BLOCK_PATTERNS = {
 }
 
 
+def build_D(n):
+    """n x n upper-shift matrix with superdiagonal sqrt(1), ..., sqrt(n-1)."""
+    return np.diag(np.sqrt(np.arange(1.0, n)), k=1)
+
+
+def permutation_matrix(n):
+    """P with P x in internal-major order for x in phonon-major order."""
+    new = np.array([o * n + m for m in range(n) for o in range(4)])
+    p = np.zeros((4 * n, 4 * n))
+    p[new, np.arange(4 * n)] = 1.0
+    return p
+
+
 def block_pattern_matrix(cid, n):
-    d = oc.build_D(n)
+    d = build_D(n)
     lut = {"I": np.eye(n), "D": d, "DT": d.T, "0": np.zeros((n, n))}
     factor, rows = BLOCK_PATTERNS[cid]
     return factor * np.block([[sign * lut[name] for sign, name in row]
                               for row in rows])
+
+
+def _projector(dim, idx):
+    diag = np.zeros(dim)
+    diag[idx] = 1.0
+    return np.diag(diag).astype(np.complex128)
+
+
+def class_projector(cid, part, j, dim):
+    """Projector onto the eigenspaces of class j's frequencies at order part.m.
+
+    Each pair of the truncation spans the eigenvectors for +-i*coefficient,
+    so the projector is diagonal in the Fock basis: 1 on the pairs of the
+    class, and on the unpaired (kernel) coordinates for the zero class.
+    """
+    pj, pk, _, _, pr = oc.pair_arrays(cid, dim)
+    if part.classes[j - 1].nu.is_zero:
+        return _projector(dim, np.setdiff1d(np.arange(dim), np.concatenate([pj, pk])))
+    mask = sd.class_mask(part, j, pr)
+    return _projector(dim, np.concatenate([pj[mask], pk[mask]]))
+
+
+Decomposition = namedtuple("Decomposition", "parts u_dec u_rho projectors")
+
+
+def decompose(op, m):
+    """U = sum(parts) + u_dec + u_rho, each pair routed whole by its radicand.
+
+    ``projectors`` holds the class projectors, then the one of sqrt(m-1).
+    """
+    part = sd.resonance_partition(m)
+    classes = range(1, part.count + 1)
+
+    def select(mask):
+        return oc.expand_pairs_dense(op.dim, op.pj[mask], op.pk[mask],
+                                     op.coeff[mask], op.kind[mask])
+
+    dec = op.radicand == m - 1
+    return Decomposition(
+        [select(sd.class_mask(part, j, op.radicand)) for j in classes],
+        select(dec), select(op.radicand >= m),
+        [class_projector(op.id, part, j, op.dim) for j in classes]
+        + [_projector(op.dim, np.concatenate([op.pj[dec], op.pk[dec]]))])
+
+
+def segment_flow(cid, theta, phi, dim):
+    """exp(theta * Z_cid) phi on the dim-truncation, through SegmentProgram."""
+    start = np.zeros(dim, dtype=np.complex128)
+    start[:len(phi)] = phi
+    prog = oc.SegmentProgram.from_operators([oc.truncate(cid, dim)])
+    return prog.states(start, [theta])[-1]
 
 
 def synthetic_tracking_violations(n_draws, dim, n_steps, eps_hi, seed):

@@ -61,7 +61,7 @@ def test_certify_full_n3(tmp_path):
     blob = json.loads((tmp_path / "certify_full_n3.json").read_text())
     assert blob["dimension"] == 143
     assert blob["certified"] is True
-    assert blob["config"]["backend"] == "numpy"
+    assert set(blob["config"]) == {"n", "family", "tol"}
 
 
 def test_certify_red_only(tmp_path):
@@ -213,6 +213,17 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     assert json.loads((tmp_path / "classes_m4.json").read_text())["count"] == 3
 
 
+def test_config_with_backend_key_reproduces(tmp_path):
+    # artifacts once carried config.backend; such a file still replays the run
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["plan", "--n", "3", "--seed", "7", "--output-dir", str(a)]) == 0
+    old = json.loads((a / "plan.json").read_text())
+    old["config"]["backend"] = "numpy"
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert run(["plan", "--config", str(tmp_path / "old.json"), "--output-dir", str(b)]) == 0
+    assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv, want", [
     (["certify", "--n", "3", "--config"], 2),
     (["classes", "--m", "4", "--config", "{dir}/list.json"], 2),
@@ -228,10 +239,18 @@ def test_config_file_defaults_with_flag_override(tmp_path):
     (["simulate", "--lifted", "{dir}/dim_sim_str.json"], 2),
     (["simulate", "--lifted", "{dir}/eps_str.json"], 2),
     (["simulate", "--lifted", "{dir}/carrier_duration_str.json"], 2),
+    (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1"], 0),
+    (["lift", "--plan", "{dir}/plan_p_str.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_achieved_error_str.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_M_negative.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_class_str.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_duration_str.json", "--eps", "0.1"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
         "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
-        "lifted-eps-str", "lifted-carrier-duration-str"])
+        "lifted-eps-str", "lifted-carrier-duration-str", "plan-valid", "plan-p-str",
+        "plan-achieved-error-str", "plan-M-negative", "plan-class-str",
+        "plan-duration-str"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
@@ -253,11 +272,29 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01, **fields,
              "segments": [{**sideband, **side}, {**carrier, **carr}]}))
+    # the same for a modal plan: (plan fields, sideband generator, sideband segment)
+    side_gen = {"kind": "sideband", "gamma": 1, "part": "V", "star": "r", "class": 3}
+    carr_gen = {"kind": "carrier", "gamma": 2, "part": "W", "star": None, "class": None}
+    for name, fields, gen, seg in (
+            ("valid", {}, {}, {}),
+            ("p_str", {"p": "x"}, {}, {}),
+            ("achieved_error_str", {"achieved_error": "x"}, {}, {}),
+            ("M_negative", {"M": -1.0}, {}, {}),
+            ("class_str", {}, {"class": "x"}, {}),
+            ("duration_str", {}, {}, {"duration": "x"})):
+        (tmp_path / f"plan_{name}.json").write_text(json.dumps(
+            {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
+             "achieved_error": 0.001, **fields,
+             "segments": [{"generator": {**side_gen, **gen}, "amplitude": 1.0,
+                           "duration": 0.5, **seg},
+                          {"generator": carr_gen, "amplitude": -1.0, "duration": 0.25}]}))
     # --output-dir goes first so that a trailing --config really is last
     argv = argv[:1] + ["--output-dir", str(tmp_path)] + [a.format(dir=tmp_path) for a in argv[1:]]
     assert run(argv) == want
     if want == 2:
         assert "error:" in capsys.readouterr().err
+    elif argv[0] == "lift":
+        assert len(json.loads((tmp_path / "lifted_plan.json").read_text())["segments"]) == 2
     else:
         assert json.loads((tmp_path / "classes_m10.json").read_text())["count"] == 7
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from sideband_steer import lie_certifier as lc
 from sideband_steer import operator_core as oc
 
@@ -298,7 +299,7 @@ def test_appendix_block_shapes_in_closure():
     fam = lc.GeneratorFamily.from_couplings(oc.ION_IDS, n)
     rep, basis = lc.closure_basis(fam)
     assert rep.certified
-    p = oc.permutation_matrix(n)
+    p = helpers.permutation_matrix(n)
     z = np.zeros((n, n), dtype=complex)
     for _ in range(5):
         blocks = [_random_su(n, rng) for _ in range(4)]

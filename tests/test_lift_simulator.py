@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -106,8 +107,8 @@ def test_lifted_plan_json_roundtrip(tmp_path):
     plan = mixed_plan(3, seed=24, nseg=8)
     lp = ls.lift_plan(plan, eps=0.1)
     path = tmp_path / "lifted.json"
-    lp.dump(path)
-    back = ls.LiftedPlan.load(path)
+    path.write_text(json.dumps(lp.to_json()))
+    back = ls.LiftedPlan.from_json(json.loads(path.read_text()))
     assert back == lp
 
 
@@ -216,7 +217,7 @@ def test_mixed_plan_states_match_dense_product_after_every_segment():
 def test_trajectory_rows_are_the_lifted_states(tmp_path):
     plan = mixed_plan(3, seed=26, nseg=8)
     lp = ls.lift_plan(plan, eps=0.2)
-    lp.dump(tmp_path / "lifted.json")
+    (tmp_path / "lifted.json").write_text(json.dumps(lp.to_json()))
     assert cli.main(["simulate", "--lifted", str(tmp_path / "lifted.json"),
                      "--phi0", "e1", "--output-dir", str(tmp_path)]) == 0
     states, _ = ls.simulate_lifted(lp, oc.basis_state(1, 12))

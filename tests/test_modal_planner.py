@@ -188,10 +188,10 @@ def test_gradient_discrepancy_scales_quadratically():
 def test_plan_json_roundtrip(tmp_path):
     plan = random_plan(3, 6, seed=1)
     path = tmp_path / "plan.json"
-    plan.dump(path)
-    back = mp.Plan.load(path)
-    assert back == plan
+    path.write_text(json.dumps(plan.to_json()))
     blob = json.loads(path.read_text())
+    back = mp.Plan.from_json(blob)
+    assert back == plan
     assert set(blob) == {"p", "M", "seed", "family", "target_error",
                          "achieved_error", "segments"}
     seg = blob["segments"][0]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import helpers
+from sideband_steer import lift_simulator as ls
 from sideband_steer import operator_core as oc
 from sideband_steer.errors import TruncationOverflowError
 
@@ -100,11 +101,11 @@ def test_unknown_id_rejected():
 
 
 def test_build_d_examples():
-    assert np.array_equal(oc.build_D(1), np.zeros((1, 1)))
-    d3 = oc.build_D(3)
+    assert np.array_equal(helpers.build_D(1), np.zeros((1, 1)))
+    d3 = helpers.build_D(3)
     assert np.allclose(np.diag(d3, k=1), [1.0, np.sqrt(2)])
     assert d3[np.tril_indices(3)].sum() == 0
-    assert abs(frob(oc.build_D(5)) - np.sqrt(10)) < 1e-14
+    assert abs(frob(helpers.build_D(5)) - np.sqrt(10)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +117,16 @@ def test_build_d_examples():
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_permuted_matches_block_pattern(cid, n):
     ref = helpers.block_pattern_matrix(cid, n)
-    got = oc.permuted_matrix(cid, n)
+    p = helpers.permutation_matrix(n)
+    got = p @ oc.build_coupling(cid, n).matrix @ p.T
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_permutation_is_identity_at_n1():
-    assert np.array_equal(oc.permutation_matrix(1), np.eye(4))
-    assert np.array_equal(oc.permuted_matrix("V1", 1), oc.build_coupling("V1", 1).matrix)
-
-
-def test_permuted_rejects_law_eberly():
-    with pytest.raises(ValueError):
-        oc.permuted_matrix("V", 2)
+    p = helpers.permutation_matrix(1)
+    assert np.array_equal(p, np.eye(4))
+    m = oc.build_coupling("V1", 1).matrix
+    assert np.array_equal(p @ m @ p.T, m)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_permuted_rejects_law_eberly():
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_law_eberly_block_forms(n):
-    d = oc.build_D(n)
+    d = helpers.build_D(n)
     i_n = np.eye(n)
     z = np.zeros((n, n))
     ref = {
@@ -159,14 +158,14 @@ def test_law_eberly_block_forms(n):
 
 def test_segment_zero_duration():
     phi = oc.random_state(12, np.random.default_rng(0))
-    out = oc.apply_exp_segment("V1r", 0.7, 0.0, phi, 16)
+    out = helpers.segment_flow("V1r", 0.0, phi, 16)
     assert np.array_equal(out[:12], phi)
     assert np.array_equal(out[12:], np.zeros(4))
 
 
 def test_segment_quarter_rotation():
     phi = oc.basis_state(1, 4)
-    out = oc.apply_exp_segment("V1", 1.0, np.pi / 2, phi, 4)
+    out = helpers.segment_flow("V1", np.pi / 2, phi, 4)
     ref = -1j * oc.basis_state(2, 4)
     assert np.max(np.abs(out - ref)) < 1e-15
 
@@ -176,7 +175,7 @@ def test_segment_norm_preserved(rng):
         cid = oc.ION_IDS[rng.integers(len(oc.ION_IDS))]
         dim = 4 * int(rng.integers(2, 8))
         phi = oc.random_state(dim - 4, rng)
-        out = oc.apply_exp_segment(cid, rng.uniform(-1, 1), rng.uniform(0, 5), phi, dim)
+        out = helpers.segment_flow(cid, rng.uniform(-1, 1) * rng.uniform(0, 5), phi, dim)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -192,7 +191,7 @@ def test_segment_matches_expm(rng):
         phi[:inner] = oc.random_state(inner, rng)
         dense = oc.build_coupling(cid, n).matrix
         ref = expm(dur * amp * dense) @ phi
-        got = oc.apply_exp_segment(cid, amp, dur, phi, dim)
+        got = helpers.segment_flow(cid, dur * amp, phi, dim)
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
@@ -200,19 +199,26 @@ def test_carrier_block_invariance(rng):
     for cid in ("V1", "W1", "V2", "W2"):
         phi = np.zeros(16, dtype=complex)
         phi[4:8] = oc.random_state(4, rng)  # one 4-block
-        out = oc.apply_exp_segment(cid, 0.9, rng.uniform(0, 7), phi, 16)
+        out = helpers.segment_flow(cid, 0.9 * rng.uniform(0, 7), phi, 16)
         assert np.max(np.abs(out[:4])) == 0
         assert np.max(np.abs(out[8:])) == 0
 
 
+def _one_segment(seg, dim_sim):
+    return ls.LiftedPlan(p=2, eps=0.1, dim_sim=dim_sim, segments=[seg])
+
+
 def test_truncation_overflow_raises():
     phi = oc.basis_state(10, 12)  # eg phonon 2; V1r pair (10, 13) exits dim 12
+    seg = ls.LiftedSegment("V1r", 1.0, 1.0, 0, s=0, t_hat=1.0, nu_kernel=1)
     with pytest.raises(TruncationOverflowError):
-        oc.apply_exp_segment("V1r", 1.0, 1.0, phi, 12)
-    out = oc.apply_exp_segment("V1r", 1.0, 1.0, phi, 16)  # enlarged window works
+        ls.simulate_lifted(_one_segment(seg, 12), phi)
+    states, _ = ls.simulate_lifted(_one_segment(seg, 16), phi)  # enlarged window works
+    out = states[-1]
     assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
 def test_negative_duration_rejected():
+    seg = ls.LiftedSegment("V1", 1.0, -0.1, 0)
     with pytest.raises(ValueError):
-        oc.apply_exp_segment("V1", 1.0, -0.1, oc.basis_state(1, 4), 4)
+        ls.simulate_lifted(_one_segment(seg, 4), oc.basis_state(1, 4))

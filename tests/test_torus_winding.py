@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import helpers
 from sideband_steer import _kernels
 from sideband_steer import operator_core as oc
 from sideband_steer import spectral_decoupling as sd
@@ -286,8 +287,7 @@ def test_expbart_periodicity_operator_level():
     rotate_pairs_matrix(cols_hat, lj, lk, lb_hat, lt)
     # t_bar version through the exact winding reduction
     pj, pk, pc, pt, pr = oc.pair_arrays("V1r", dim)
-    cls = part.classes[1]
-    mask = np.array([cls.matches_kernel(int(r)) and r <= 2 for r in pr])
+    mask = sd.class_mask(part, 2, pr)
     betas_bar = np.array([math.copysign(1.0, c) *
                           tw.exact_residual(int(r), res.nu_kernel, res.s, res.t_hat)
                           for c, r in zip(pc[mask], pr[mask])])
@@ -300,7 +300,7 @@ def test_part_exponentials_commute_and_compose(rng):
     # exp(tU) equals the ordered product of the part exponentials
     for m in (3, 4, 8):
         op = oc.build_coupling("W2r", m + 2)
-        dec = sd.decompose(op, m)
+        dec = helpers.decompose(op, m)
         t = float(rng.uniform(-2, 2))
         terms = dec.parts + [dec.u_dec, dec.u_rho]
         prod = np.eye(op.dim, dtype=complex)
