@@ -8,6 +8,11 @@ exactly one implementation.
 All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
 a bundle of independent 2x2 rotations, never a dense matrix exponential.
+The objective scatters the same 2x2 rotation entries into a dense stack
+of small propagators, one per segment, so that each sweep step is a
+single mat-vec (forward on the state, backward on the conjugated adjoint
+as a row vector) and the gradient is one batched contraction over all
+pairs.
 """
 
 from __future__ import annotations
@@ -38,12 +43,6 @@ def rotate_pairs(state, pj, pk, betas, kinds):
     state[pj] = c * a + se * b
     state[pk] = np.where(kinds == 0, se, -se) * a + c * b
     return state
-
-
-# The objective rotates through this private alias: code that wraps the
-# module attribute ``rotate_pairs`` (a profiler, say) then sees segment
-# flows only, not the planner's inner loop.
-_rotate = rotate_pairs
 
 
 def rotate_pairs_matrix(mat, pj, pk, betas, kinds):
@@ -160,36 +159,49 @@ def _scan_block(t_hat, step, w, classes, w_pi, eps, s0, s1, best_s, best_bound, 
 # ---------------------------------------------------------------------------
 # planner objective + adjoint gradient
 #
-# Forward: phi_{k+1} = exp(theta_k * S_k) phi_k over per-segment pair lists
-# (CSR layout seg_ptr / pj / pk / pc / pkind, rotation angle theta_k * pc).
+# Segment k is the flow U_k = exp(theta_k * S_k) of one disjoint-pair
+# operator (CSR layout seg_ptr / pj / pk / pc / pkind, rotation angle
+# theta_k * pc).  All nseg propagators of an evaluation are built at once as
+# a dense (nseg, dim, dim) stack: the identity, with the same cos / sin
+# pair entries that rotate_pairs applies scattered into it.
+# Forward: phi_{k+1} = U_k phi_k, one mat-vec per segment.
 # Objective: f = ||phi_K - target||^2 summed componentwise (no cancellation,
 # so values down to ~1e-30 stay meaningful).
-# Backward: mu_K = phi_K - target, grad_k = 2 Re<mu_k, S_k phi_{k+1}>,
-# mu_{k-1} = exp(-theta_k S_k) mu_k.
+# Backward, on the conjugated adjoint lam = conj(mu) as a row vector:
+# lam_K = conj(phi_K - target), lam_k = lam_{k+1} U_k (the same as
+# mu_k = U_k^dag mu_{k+1}, with no transposed copy of U_k).
+# Gradient, after the sweeps, in one gathered contraction over all pairs:
+# grad_k = 2 Re lam_{k+1} S_k phi_{k+1}, summed per segment.
 # ---------------------------------------------------------------------------
 
 
 def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     nseg = len(thetas)
     dim = phi0.shape[0]
-    states = np.empty((nseg + 1, dim), dtype=np.complex128)
-    states[0] = phi0
+    seg = np.repeat(np.arange(nseg), np.diff(seg_ptr))
+    ang = thetas[seg] * pc
+    c = np.cos(ang)
+    e = pkind == 0
+    se = np.where(e, 1j * np.sin(ang), np.sin(ang))
+    u = np.zeros((nseg, dim, dim), dtype=np.complex128)
+    u.reshape(nseg, dim * dim)[:, ::dim + 1] = 1.0
+    u[seg, pj, pj] = c
+    u[seg, pk, pk] = c
+    u[seg, pj, pk] = se
+    u[seg, pk, pj] = np.where(e, se, -se)
+    phi = np.empty((nseg + 1, dim), dtype=np.complex128)
+    phi[0] = phi0
     for k in range(nseg):
-        states[k + 1] = states[k]
-        lo, hi = seg_ptr[k], seg_ptr[k + 1]
-        _rotate(states[k + 1], pj[lo:hi], pk[lo:hi], thetas[k] * pc[lo:hi], pkind[lo:hi])
-    mu = states[nseg] - target
+        np.dot(u[k], phi[k], out=phi[k + 1])
+    mu = phi[nseg] - target
     f = float(np.sum(mu.real**2 + mu.imag**2))
-    grad = np.zeros(nseg, dtype=np.float64)
+    lam = np.empty((nseg + 1, dim), dtype=np.complex128)
+    lam[nseg] = mu.conj()
     for k in range(nseg - 1, -1, -1):
-        lo, hi = seg_ptr[k], seg_ptr[k + 1]
-        phi = states[k + 1]
-        j = pj[lo:hi]
-        kk = pk[lo:hi]
-        c = pc[lo:hi]
-        e = pkind[lo:hi] == 0
-        sj = np.where(e, 1j * c, c) * phi[kk]
-        sk = np.where(e, 1j * c, -c) * phi[j]
-        grad[k] = 2.0 * float(np.sum((np.conj(mu[j]) * sj + np.conj(mu[kk]) * sk).real))
-        _rotate(mu, j, kk, -thetas[k] * c, pkind[lo:hi])
-    return f, grad
+        np.dot(lam[k + 1], u[k], out=lam[k])
+    # S_k phi is cj * phi[pk] at pj and ck * phi[pj] at pk
+    cj = np.where(e, 1j * pc, pc)
+    ck = np.where(e, 1j * pc, -pc)
+    after = seg + 1
+    terms = (lam[after, pj] * cj * phi[after, pk] + lam[after, pk] * ck * phi[after, pj]).real
+    return f, 2.0 * np.bincount(seg, weights=terms, minlength=nseg)

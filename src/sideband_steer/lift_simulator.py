@@ -63,6 +63,8 @@ class LiftedSegment:
         if seg.coupling not in oc.ION_IDS:
             raise ValueError(f"unknown coupling {seg.coupling!r}")
         if seg.s is None:  # carrier
+            if oc.is_sideband(seg.coupling):
+                raise ValueError(f"sideband {seg.coupling} has no winding index")
             if not _is_finite(seg.amplitude):
                 raise ValueError(f"amplitude must be a finite number, not {seg.amplitude!r}")
             if not _is_finite(seg.duration) or seg.duration < 0:

@@ -2,7 +2,8 @@
 
 Planning is direct multi-start optimization: a fixed cyclic schedule over
 the available single generators, one signed angle per segment, exact
-adjoint gradients through the closed-form segment flows, and L-BFGS-B.
+adjoint gradients through the closed-form segment flows, and an in-house
+L-BFGS (two-loop recursion, strong-Wolfe line search; :func:`minimize`).
 Segment angles factor on output as amplitude = +-M, duration = |angle|/M,
 so every returned segment respects the control bound with the shortest
 possible duration.
@@ -13,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels
 from . import operator_core as oc
@@ -61,7 +62,10 @@ class GeneratorId:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.gamma not in (1, 2) or self.part not in ("V", "W"):
             raise ValueError("gamma must be 1 or 2 and part V or W")
-        if self.kind == "sideband":
+        if self.kind == "carrier":
+            if self.star is not None or self.class_index is not None:
+                raise ValueError("carrier generators take no star and no class_index")
+        else:
             if self.star not in ("r", "b") or not self.class_index:
                 raise ValueError("sideband generators need star and class_index")
             if not _is_int(self.class_index):
@@ -228,9 +232,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
             return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj,
                                            prog.pk, prog.coeff, prog.kind)
 
-        res = minimize(fun, theta0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": min(800, iters_left), "maxcor": 30,
-                                "ftol": 1e-22, "gtol": 1e-14})
+        res = minimize(fun, theta0, maxiter=min(800, iters_left))
         iters_left -= max(res.nit, 1)
         err = float(np.sqrt(max(res.fun, 0.0)))
         if best is None or err < best[0]:
@@ -262,6 +264,112 @@ def _cycle_schedule(ngens: int, dim: int) -> list[int]:
     while out[-1] < 40:
         out.append(int(np.ceil(out[-1] * 1.5)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS: two-loop recursion (Liu & Nocedal 1989) with a strong-Wolfe line
+# search (Nocedal & Wright, Numerical Optimization, Alg. 3.5 bracketing and
+# Alg. 3.6 zoom, cubic interpolation).  It stops after maxiter iterations,
+# when max|g| <= _GTOL, when an iteration lowers f by at most
+# _FTOL * max(|f_k|, |f_k+1|, 1), or when a line search from steepest
+# descent finds no lower point in _MAXLS evaluations.
+# ---------------------------------------------------------------------------
+
+_MEMORY = 30
+_FTOL = 1e-22
+_GTOL = 1e-14
+_MAXLS = 20
+_C1, _C2 = 1e-4, 0.9  # sufficient decrease and curvature constants
+
+
+class MinimizeResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int
+
+
+def minimize(fun, x0, maxiter: int) -> MinimizeResult:
+    """Minimize ``fun(x) -> (f, grad)`` from ``x0`` by L-BFGS."""
+    x = np.array(x0, dtype=np.float64)
+    f, g = fun(x)
+    mem = []  # (s, y, 1 / s.y) of the last _MEMORY steps, oldest first
+    nit = 0
+    while nit < maxiter and np.max(np.abs(g), initial=0.0) > _GTOL:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(mem):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if mem:
+            s, y, rho = mem[-1]
+            d *= 1.0 / (rho * (y @ y))
+        for (s, y, rho), a in zip(mem, reversed(alphas)):
+            d += (a - rho * (y @ d)) * s
+        step = _line_search(fun, x, f, g, d, 1.0 if mem else 1.0 / np.linalg.norm(g))
+        if step is None:
+            if not mem:
+                break
+            mem.clear()  # retry once from steepest descent
+            continue
+        x_new, f_new, g_new = step
+        nit += 1
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > np.finfo(np.float64).eps * (y @ y):
+            if len(mem) == _MEMORY:
+                del mem[0]
+            mem.append((s, y, 1.0 / sy))
+        stalled = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if stalled:
+            break
+    return MinimizeResult(x, f, nit)
+
+
+def _line_search(fun, x, f0, g0, d, a):
+    """A strong-Wolfe step ``(x, f, g)`` along ``d`` from trial step ``a``.
+
+    Falls back to the lowest sufficient-decrease point seen after _MAXLS
+    evaluations, and returns None if there is none or ``d`` is not a
+    descent direction.
+    """
+    dg0 = g0 @ d
+    if not dg0 < 0:
+        return None
+    lo, hi = (0.0, f0, dg0, x, g0), None  # (step, f, slope, x, g)
+    for _ in range(_MAXLS):
+        xa = x + a * d
+        fa, ga = fun(xa)
+        new = (a, fa, ga @ d, xa, ga)
+        if fa > f0 + _C1 * a * dg0 or fa >= lo[1]:
+            hi = new
+        elif abs(new[2]) <= -_C2 * dg0:
+            return xa, fa, ga
+        elif hi is None and new[2] < 0:
+            lo = new  # still descending: extrapolate
+            a *= 4.0
+            continue
+        else:
+            if hi is None or new[2] * (hi[0] - a) >= 0:
+                hi = lo
+            lo = new
+        a = _cubic_step(lo, hi)
+    return (lo[3], lo[1], lo[4]) if lo[0] > 0 else None
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic through both ends, kept in the middle 80%."""
+    a, fa, da = lo[:3]
+    b, fb, db = hi[:3]
+    left, width = min(a, b), abs(b - a)
+    d1 = da + db - 3.0 * (fa - fb) / (a - b) if width else math.nan
+    rad = d1 * d1 - da * db
+    if rad >= 0:
+        d2 = math.copysign(math.sqrt(rad), b - a)
+        t = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+        if math.isfinite(t) and left + 0.1 * width <= t <= left + 0.9 * width:
+            return t
+    return 0.5 * (a + b)
 
 
 def simulate_plan_modal(plan: Plan, phi0: np.ndarray) -> np.ndarray:

@@ -83,13 +83,6 @@ def basis_index(internal: str, phonon: int) -> int:
     return 4 * phonon + INTERNAL_LEVELS.index(internal) + 1
 
 
-def basis_split(j: int) -> tuple[str, int]:
-    """Inverse of :func:`basis_index`."""
-    if j < 1:
-        raise ValueError("basis index is 1-based")
-    return INTERNAL_LEVELS[(j - 1) % 4], (j - 1) // 4
-
-
 def basis_state(j: int, dim: int) -> np.ndarray:
     """Unit vector phi_j (1-based) in C^dim."""
     if not 1 <= j <= dim:

@@ -6,7 +6,8 @@ are the closed forms the C2 checks compare against, and the dense
 decomposition U = sum_j U_j + U_dec + U_rho with its class projectors is
 what C3 checks; it routes pairs through the package's own class rule,
 ``spectral_decoupling.class_mask``.  ``segment_flow`` is one segment of the
-runtime ``SegmentProgram`` path that both simulators use.
+runtime ``SegmentProgram`` path that both simulators use, and
+``basis_split`` inverts the runtime ``operator_core.basis_index``.
 """
 
 from collections import namedtuple
@@ -47,6 +48,13 @@ BLOCK_PATTERNS = {
     "W2b": (1, [[Z, Z, (1, "DT"), Z], [Z, Z, Z, (1, "DT")],
                 [(-1, "D"), Z, Z, Z], [Z, (-1, "D"), Z, Z]]),
 }
+
+
+def basis_split(j):
+    """Inverse of ``operator_core.basis_index``."""
+    if j < 1:
+        raise ValueError("basis index is 1-based")
+    return oc.INTERNAL_LEVELS[(j - 1) % 4], (j - 1) // 4
 
 
 def build_D(n):

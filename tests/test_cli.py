@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,18 +243,20 @@ def test_config_with_backend_key_reproduces(tmp_path):
     (["simulate", "--lifted", "{dir}/dim_sim_str.json"], 2),
     (["simulate", "--lifted", "{dir}/eps_str.json"], 2),
     (["simulate", "--lifted", "{dir}/carrier_duration_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/sideband_no_s.json"], 2),
     (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1"], 0),
     (["lift", "--plan", "{dir}/plan_p_str.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_achieved_error_str.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_M_negative.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_class_str.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_duration_str.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_carrier_star.json", "--eps", "0.1"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
         "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
-        "lifted-eps-str", "lifted-carrier-duration-str", "plan-valid", "plan-p-str",
-        "plan-achieved-error-str", "plan-M-negative", "plan-class-str",
-        "plan-duration-str"])
+        "lifted-eps-str", "lifted-carrier-duration-str", "lifted-sideband-no-s",
+        "plan-valid", "plan-p-str", "plan-achieved-error-str", "plan-M-negative",
+        "plan-class-str", "plan-duration-str", "plan-carrier-star"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
@@ -268,26 +274,30 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
             ("p_composite", {"p": 4}, {}, {}),
             ("dim_sim_str", {"dim_sim": "x"}, {}, {}),
             ("eps_str", {"eps": "x"}, {}, {}),
-            ("carrier_duration_str", {}, {}, {"duration": "x"})):
+            ("carrier_duration_str", {}, {}, {"duration": "x"}),
+            ("sideband_no_s", {}, {"s": None}, {})):
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01, **fields,
              "segments": [{**sideband, **side}, {**carrier, **carr}]}))
-    # the same for a modal plan: (plan fields, sideband generator, sideband segment)
+    # the same for a modal plan:
+    # (plan fields, sideband generator, sideband segment, carrier generator)
     side_gen = {"kind": "sideband", "gamma": 1, "part": "V", "star": "r", "class": 3}
     carr_gen = {"kind": "carrier", "gamma": 2, "part": "W", "star": None, "class": None}
-    for name, fields, gen, seg in (
-            ("valid", {}, {}, {}),
-            ("p_str", {"p": "x"}, {}, {}),
-            ("achieved_error_str", {"achieved_error": "x"}, {}, {}),
-            ("M_negative", {"M": -1.0}, {}, {}),
-            ("class_str", {}, {"class": "x"}, {}),
-            ("duration_str", {}, {}, {"duration": "x"})):
+    for name, fields, gen, seg, cgen in (
+            ("valid", {}, {}, {}, {}),
+            ("p_str", {"p": "x"}, {}, {}, {}),
+            ("achieved_error_str", {"achieved_error": "x"}, {}, {}, {}),
+            ("M_negative", {"M": -1.0}, {}, {}, {}),
+            ("class_str", {}, {"class": "x"}, {}, {}),
+            ("duration_str", {}, {}, {"duration": "x"}, {}),
+            ("carrier_star", {}, {}, {}, {"star": "r"})):
         (tmp_path / f"plan_{name}.json").write_text(json.dumps(
             {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
              "achieved_error": 0.001, **fields,
              "segments": [{"generator": {**side_gen, **gen}, "amplitude": 1.0,
                            "duration": 0.5, **seg},
-                          {"generator": carr_gen, "amplitude": -1.0, "duration": 0.25}]}))
+                          {"generator": {**carr_gen, **cgen}, "amplitude": -1.0,
+                           "duration": 0.25}]}))
     # --output-dir goes first so that a trailing --config really is last
     argv = argv[:1] + ["--output-dir", str(tmp_path)] + [a.format(dir=tmp_path) for a in argv[1:]]
     assert run(argv) == want
@@ -309,6 +319,21 @@ def test_rerun_from_artifact_reproduces(tmp_path):
     for name in ("plan.json", "lifted_plan.json", "summary.json",
                  "trajectory.csv", "budget.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_plan_run_imports_no_scipy(tmp_path):
+    argv = ["plan", "--n", "3", "--seed", "7", "--output-dir", str(tmp_path)]
+    code = ("import sys\n"
+            "import sideband_steer.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    # the package under test first on the path, as in this process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

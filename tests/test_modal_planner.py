@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sideband_steer import _kernels
 from sideband_steer import modal_planner as mp
 from sideband_steer import operator_core as oc
 
@@ -178,6 +179,110 @@ def test_gradient_discrepancy_scales_quadratically():
     d1 = mp.gradient_check(plan, phi0, phiT, step=2e-3)
     d2 = mp.gradient_check(plan, phi0, phiT, step=1e-3)
     assert d1 / d2 == pytest.approx(4.0, rel=0.35)
+
+
+def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
+    """The objective as pair rotations, one segment at a time (the oracle)."""
+    nseg = len(thetas)
+    states = np.empty((nseg + 1, phi0.shape[0]), dtype=np.complex128)
+    states[0] = phi0
+    for k in range(nseg):
+        states[k + 1] = states[k]
+        lo, hi = seg_ptr[k], seg_ptr[k + 1]
+        _kernels.rotate_pairs(states[k + 1], pj[lo:hi], pk[lo:hi], thetas[k] * pc[lo:hi],
+                              pkind[lo:hi])
+    mu = states[nseg] - target
+    f = float(np.sum(mu.real**2 + mu.imag**2))
+    grad = np.zeros(nseg, dtype=np.float64)
+    for k in range(nseg - 1, -1, -1):
+        lo, hi = seg_ptr[k], seg_ptr[k + 1]
+        phi = states[k + 1]
+        j, kk, c = pj[lo:hi], pk[lo:hi], pc[lo:hi]
+        e = pkind[lo:hi] == 0
+        sj = np.where(e, 1j * c, c) * phi[kk]
+        sk = np.where(e, 1j * c, -c) * phi[j]
+        grad[k] = 2.0 * float(np.sum((np.conj(mu[j]) * sj + np.conj(mu[kk]) * sk).real))
+        _kernels.rotate_pairs(mu, j, kk, -thetas[k] * c, pkind[lo:hi])
+    return f, grad
+
+
+def _objective_programs():
+    out = []
+    for p in (3, 5, 7):
+        for family in mp.FAMILIES:
+            gens = mp.default_generator_ids(p, family)
+            for cycles in (1, 3):
+                out.append(pytest.param(p, gens, cycles, id=f"p{p}-{family}-x{cycles}"))
+    sideband = mp.default_generator_ids(5)[-1]
+    out.append(pytest.param(5, [sideband], 1, id="p5-one-segment"))
+    return out
+
+
+@pytest.mark.parametrize("p, gens, cycles", _objective_programs())
+def test_objective_matches_pair_rotation_oracle(p, gens, cycles):
+    prog = mp._program(gens, p).tile(cycles)
+    rng = np.random.default_rng([p, len(gens), cycles])
+    for _ in range(3):
+        phi0, phiT = oc.random_state(4 * p, rng), oc.random_state(4 * p, rng)
+        thetas = rng.normal(0.0, 1.0, size=len(prog.ptr) - 1)
+        args = (thetas, phi0, phiT, prog.ptr, prog.pj, prog.pk, prog.coeff, prog.kind)
+        f, grad = _kernels.objective_grad(*args)
+        f_ref, grad_ref = sparse_objective_grad(*args)
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+        assert grad.shape == grad_ref.shape
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS
+# ---------------------------------------------------------------------------
+
+
+def test_lbfgs_minimizes_a_convex_quadratic():
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    a = q @ np.diag(np.geomspace(1.0, 100.0, 12)) @ q.T
+    b = rng.normal(size=12)
+    res = mp.minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), np.zeros(12), 200)
+    assert np.max(np.abs(res.x - np.linalg.solve(a, b))) < 1e-8
+    # quasi-Newton, not steepest descent, which needs hundreds of steps here
+    assert res.nit <= 60
+
+
+def rosenbrock(x):
+    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                  200.0 * (x[1] - x[0] ** 2)])
+    return f, g
+
+
+def test_lbfgs_minimizes_rosenbrock():
+    res = mp.minimize(rosenbrock, np.array([-1.2, 1.0]), 500)
+    assert np.max(np.abs(res.x - 1.0)) < 1e-6
+    assert res.fun == rosenbrock(res.x)[0] < 1e-12
+    assert 0 < res.nit <= 500
+
+
+def test_lbfgs_honours_maxiter():
+    x0 = np.array([-1.2, 1.0])
+    res = mp.minimize(rosenbrock, x0, 1)
+    assert res.nit == 1
+    assert res.fun < rosenbrock(x0)[0]
+    assert res.fun == rosenbrock(res.x)[0]
+
+
+def test_lbfgs_stops_at_a_stationary_start():
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return float(x @ x), 2.0 * x
+
+    # max|g| = 2e-16 is below the 1e-14 stop, yet a line search could still descend
+    x0 = np.full(5, 1e-16)
+    res = mp.minimize(fun, x0, 100)
+    assert res.nit == 0 and len(calls) == 1
+    assert res.fun == 5e-32 and np.array_equal(res.x, x0)
 
 
 # ---------------------------------------------------------------------------
