@@ -4,7 +4,9 @@ Commands: certify, classes, decouple, plan, lift, simulate, run-e2e.
 Every artifact embeds the configuration and seed that produced it, and
 identical invocations produce byte-identical files.  Exit codes: 0
 success, 1 contract/certification failure, 2 usage, 3 planner failure,
-4 winding search exhausted.
+4 winding search exhausted.  Commands return only outcome codes (0, 1,
+3) and raise on everything else; ``main()`` alone maps an exception to
+its exit code and one-line message.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from . import modal_planner as mp
 from . import operator_core as oc
 from . import spectral_decoupling as sd
 from . import torus_winding as tw
-from .errors import InternalConsistencyError, SearchExhaustedError
+from .errors import SearchExhaustedError, SidebandSteerError
+from .modal_planner import _is_finite, _is_int
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -35,36 +37,6 @@ EXIT_PLANNER = 3
 EXIT_SEARCH = 4
 
 SEED_ENV = "SIDEBAND_STEER_SEED"
-
-
-@dataclass
-class RunConfig:
-    """Knobs of an end-to-end run; see the command flags of the same names."""
-
-    n: int = 3
-    eps: float = 0.1
-    M: float = 1.0
-    eps_plan: float | None = None  # defaults to eps / 10
-    s_max: int = 10**9
-    seed: int = 0
-    budget: int = mp.DEFAULT_BUDGET
-    output_dir: str = "."
-    family: str = "full"
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.M <= 0:
-            raise ValueError("control bound M must be positive")
-        if self.eps_plan is not None and not 0 < self.eps_plan < self.eps:
-            raise ValueError("eps_plan must lie in (0, eps)")
-
-    @property
-    def planner_eps(self) -> float:
-        return self.eps / 10.0 if self.eps_plan is None else self.eps_plan
 
 
 def _default_seed() -> int:
@@ -135,7 +107,8 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
     Accepts either a plain config dict or a previously written artifact
     (whose settings live under its "config" key), so any run can be
     reproduced directly from its outputs.  Keys that no parser knows, such
-    as the "backend" of older artifacts, are ignored.
+    as the "backend" of older artifacts, are ignored.  argparse does not
+    type-check defaults, so each value is checked here against its flag.
     """
     path = _config_path(argv)
     if path is not None:
@@ -146,12 +119,27 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
         if isinstance(raw.get("config"), dict):
             raw = raw["config"]
         for p in _walk_parsers(parser):
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in raw.items() if k in known})
             for a in p._actions:
-                if a.dest in raw and a.required:
+                if a.dest in raw and a.nargs is None:
+                    _check_config_value(a, raw[a.dest])
+                    p.set_defaults(**{a.dest: raw[a.dest]})
                     a.required = False
     return argv
+
+
+def _check_config_value(action: argparse.Action, value) -> None:
+    """A config value must be one the same flag would accept: a ValueError if not."""
+    if value is None:
+        ok = action.default is None and not action.required
+    elif action.type is int:
+        ok = _is_int(value)
+    elif action.type is float:
+        ok = _is_finite(value)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ValueError(f"config value {action.dest}={value!r} is not valid "
+                         f"for {action.option_strings[0]}")
 
 
 def _read_artifact(path, parse):
@@ -172,14 +160,10 @@ def cmd_certify(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args, ("n", "family", "tol"))
-    try:
-        if args.family.startswith("law-eberly"):
-            rep = lc.certify_law_eberly(args.n, args.family[-1], args.tol)
-        else:
-            rep = lc.certify_modal(args.n, args.family, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.family.startswith("law-eberly"):
+        rep = lc.certify_law_eberly(args.n, args.family[-1], args.tol)
+    else:
+        rep = lc.certify_modal(args.n, args.family, args.tol)
     path = outdir / f"certify_{args.family}_n{args.n}.json"
     _write_json(path, rep.to_json(), config)
     print(f"family={args.family} n={args.n} dimension={rep.dimension} "
@@ -189,8 +173,7 @@ def cmd_certify(args) -> int:
 
 def cmd_classes(args) -> int:
     if args.m < 2:
-        print("error: m must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("m must be >= 2")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     part = sd.resonance_partition(args.m)
@@ -202,21 +185,13 @@ def cmd_classes(args) -> int:
 
 def cmd_decouple(args) -> int:
     if args.eps <= 0:
-        print("error: eps must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("eps must be positive")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args, ("op", "m", "cls", "t_hat", "eps", "s_max"))
     req = tw.DecouplingRequest(id=args.op, m=args.m, ell=args.cls,
                                t_hat=args.t_hat, eps=args.eps, s_max=args.s_max)
-    try:
-        res = tw.find_decoupling_time(req)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchExhaustedError as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+    res = tw.find_decoupling_time(req)
     measured = tw.verify_sigma(req, res, dim_sim=4 * (args.m + 1))
     payload = res.to_json()
     payload["measured_sigma_norm"] = measured
@@ -236,31 +211,41 @@ def cmd_decouple(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_args(args, config) -> mp.Plan:
-    p = ls.choose_prime(args.n)
+# settings that plan and run-e2e record in their artifacts (s_max and jobs
+# exist on run-e2e only); both add eps_plan as _planner_eps resolves it
+_PLAN_KEYS = ("n", "eps", "M", "seed", "budget", "family", "phi0", "phiT",
+              "s_max", "jobs")
+
+
+def _planner_eps(args) -> float:
+    """Range-check the planning flags; the planner's target, eps/10 by default."""
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
+    if args.eps <= 0:
+        raise ValueError("eps must be positive")
+    if args.M <= 0:
+        raise ValueError("control bound M must be positive")
+    if args.eps_plan is not None and not 0 < args.eps_plan < args.eps:
+        raise ValueError("eps_plan must lie in (0, eps)")
+    return args.eps / 10.0 if args.eps_plan is None else args.eps_plan
+
+
+def _plan(args, p: int, eps_plan: float):
+    """Parse the endpoint states and plan between them: (plan, phi0, phiT)."""
     dim = 4 * p
     phi0 = parse_state_spec(args.phi0, dim, np.random.default_rng([args.seed, 0]))
     phiT = parse_state_spec(args.phiT, dim, np.random.default_rng([args.seed, 1]))
-    plan = mp.plan_transfer(phi0, phiT, p, M=args.M, eps_plan=config["eps_plan"],
+    plan = mp.plan_transfer(phi0, phiT, p, M=args.M, eps_plan=eps_plan,
                             seed=args.seed, budget=args.budget, family=args.family)
-    return plan
+    return plan, phi0, phiT
 
 
 def cmd_plan(args) -> int:
-    cfg = RunConfig(n=args.n, eps=args.eps, M=args.M, eps_plan=args.eps_plan,
-                    seed=args.seed, budget=args.budget, family=args.family,
-                    output_dir=args.output_dir)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    eps_plan = _planner_eps(args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = _config_dict(args, ("n", "eps", "M", "seed", "budget", "family",
-                                 "phi0", "phiT"))
-    config["eps_plan"] = cfg.planner_eps
-    plan = _plan_from_args(args, config)
+    config = {**_config_dict(args, _PLAN_KEYS), "eps_plan": eps_plan}
+    plan, _, _ = _plan(args, ls.choose_prime(args.n), eps_plan)
     path = outdir / "plan.json"
     _write_json(path, plan.to_json(), config)
     print(f"p={plan.p} segments={len(plan.segments)} "
@@ -270,18 +255,13 @@ def cmd_plan(args) -> int:
 
 def cmd_lift(args) -> int:
     if args.eps <= 0:
-        print("error: eps must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("eps must be positive")
     plan = _read_artifact(args.plan, lambda d: mp.Plan.from_json(
         d if "segments" in d else d["plan"]))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args, ("plan", "eps", "s_max", "jobs"))
-    try:
-        lp = ls.lift_plan(plan, args.eps, s_max=args.s_max, jobs=args.jobs)
-    except SearchExhaustedError as exc:
-        print(f"search exhausted at segment {exc.segment_index}: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+    lp = ls.lift_plan(plan, args.eps, s_max=args.s_max, jobs=args.jobs)
     path = outdir / "lifted_plan.json"
     _write_json(path, lp.to_json(), config)
     print(f"segments={len(lp.segments)} total_predicted_error="
@@ -329,53 +309,30 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run_e2e(args) -> int:
-    cfg = RunConfig(n=args.n, eps=args.eps, M=args.M, eps_plan=args.eps_plan,
-                    s_max=args.s_max, seed=args.seed, budget=args.budget,
-                    output_dir=args.output_dir, family=args.family, jobs=args.jobs)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    outdir = Path(cfg.output_dir)
+    eps_plan = _planner_eps(args)
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = {**{k: v for k, v in asdict(cfg).items() if k != "output_dir"},
-              "phi0": args.phi0, "phiT": args.phiT,
-              "eps_plan": cfg.planner_eps}
+    config = {**_config_dict(args, _PLAN_KEYS), "eps_plan": eps_plan}
 
-    p = ls.choose_prime(cfg.n)
-    cert = lc.certify_modal(p, cfg.family)
+    p = ls.choose_prime(args.n)
+    cert = lc.certify_modal(p, args.family)
     _write_json(outdir / "certify_report.json", cert.to_json(), config)
     if not cert.certified:
         print("error: generator family failed certification", file=sys.stderr)
         return EXIT_CONTRACT
 
-    dim = 4 * p
-    phi0 = parse_state_spec(args.phi0, dim, np.random.default_rng([cfg.seed, 0]))
-    phiT = parse_state_spec(args.phiT, dim, np.random.default_rng([cfg.seed, 1]))
-    plan = mp.plan_transfer(phi0, phiT, p, M=cfg.M, eps_plan=cfg.planner_eps,
-                            seed=cfg.seed, budget=cfg.budget, family=cfg.family)
+    plan, phi0, phiT = _plan(args, p, eps_plan)
     _write_json(outdir / "plan.json", plan.to_json(), config)
     if not plan.success:
         print(f"planner failed: achieved_error={plan.achieved_error:.3e}",
               file=sys.stderr)
         return EXIT_PLANNER
 
-    try:
-        lp = ls.lift_plan(plan, cfg.eps - cfg.planner_eps, s_max=cfg.s_max,
-                          jobs=cfg.jobs)
-    except SearchExhaustedError as exc:
-        print(f"search exhausted at segment {exc.segment_index}: {exc}",
-              file=sys.stderr)
-        return EXIT_SEARCH
+    lp = ls.lift_plan(plan, args.eps - eps_plan, s_max=args.s_max, jobs=args.jobs)
     _write_json(outdir / "lifted_plan.json", lp.to_json(), config)
 
-    try:
-        states, tail = ls.simulate_lifted(lp, phi0)
-        report = ls.error_report(plan, lp, phi0, phiT, simulated=(states, tail))
-    except InternalConsistencyError as exc:
-        print(f"contract failure: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+    states, tail = ls.simulate_lifted(lp, phi0)
+    report = ls.error_report(plan, lp, phi0, phiT, (states, tail))
     _write_trajectory(outdir / "trajectory.csv", lp, states, report["final_error"])
     # plot data: predicted error budget vs segment index
     with open(outdir / "budget.csv", "w", newline="") as fh:
@@ -386,15 +343,15 @@ def cmd_run_e2e(args) -> int:
             wr.writerow([seg["origin"], seg["coupling"],
                          "" if seg["s"] is None else seg["s"],
                          f"{seg['predicted_error']:.17g}", f"{run_sum:.17g}"])
-    summary = {"final_error": report["final_error"], "eps": cfg.eps,
-               "verdict": bool(report["final_error"] < cfg.eps),
+    summary = {"final_error": report["final_error"], "eps": args.eps,
+               "verdict": bool(report["final_error"] < args.eps),
                "tail_mass": report["tail_mass"],
                "modal_error": report["modal_error"],
                "lifting_error": report["lifting_error"],
                "total_predicted_error": report["total_predicted_error"],
                "segments": len(lp.segments)}
     _write_json(outdir / "summary.json", summary, config)
-    print(f"final_error={report['final_error']:.4e} eps={cfg.eps} "
+    print(f"final_error={report['final_error']:.4e} eps={args.eps} "
           f"verdict={'PASS' if summary['verdict'] else 'FAIL'} -> {outdir}/summary.json")
     return EXIT_OK if summary["verdict"] else EXIT_CONTRACT
 
@@ -438,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", dest="s_max", type=int, default=tw.DEFAULT_S_MAX)
     p.set_defaults(func=cmd_decouple)
 
-    def plannerish(p, with_eps=True):
+    def plannerish(p):
         common(p)
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--eps", type=float, default=0.1)
@@ -484,20 +441,17 @@ def main(argv=None) -> int:
     try:
         _load_config_defaults(ap, argv)
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return args.func(args)
+    except SystemExit as exc:  # argparse has printed its usage message or help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SearchExhaustedError as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
+        where = "" if exc.segment_index is None else f" at segment {exc.segment_index}"
+        print(f"search exhausted{where}: {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    except InternalConsistencyError as exc:
+    except SidebandSteerError as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

@@ -62,14 +62,13 @@ class LiftedSegment:
                   t_hat=d["t_hat"], nu_kernel=d["nu_kernel"])
         if seg.coupling not in oc.ION_IDS:
             raise ValueError(f"unknown coupling {seg.coupling!r}")
+        if not _is_finite(seg.amplitude):
+            raise ValueError(f"amplitude must be a finite number, not {seg.amplitude!r}")
+        if not _is_finite(seg.duration) or seg.duration < 0:
+            raise ValueError(f"duration must be a finite number >= 0, not {seg.duration!r}")
         if seg.s is None:  # carrier
             if oc.is_sideband(seg.coupling):
                 raise ValueError(f"sideband {seg.coupling} has no winding index")
-            if not _is_finite(seg.amplitude):
-                raise ValueError(f"amplitude must be a finite number, not {seg.amplitude!r}")
-            if not _is_finite(seg.duration) or seg.duration < 0:
-                raise ValueError(
-                    f"duration must be a finite number >= 0, not {seg.duration!r}")
             return seg
         if not _is_int(seg.s) or seg.s < 0:
             raise ValueError(f"winding index s must be a non-negative integer, not {seg.s!r}")
@@ -103,8 +102,11 @@ class LiftedPlan:
                  segments=[LiftedSegment.from_json(s) for s in d["segments"]])
         if not _is_int(lp.p) or not sd.is_prime(lp.p):
             raise ValueError(f"p must be a prime integer, not {lp.p!r}")
-        if not _is_int(lp.dim_sim) or lp.dim_sim < 4 * (lp.p + 1):
-            raise ValueError(f"dim_sim must be an integer >= 4 * (p + 1), not {lp.dim_sim!r}")
+        # the support bound that lift_plan sizes dim_sim by: one phonon level per sideband
+        need = 4 * (lp.p + sum(s.is_sideband for s in lp.segments) + 1)
+        if not _is_int(lp.dim_sim) or lp.dim_sim < need:
+            raise ValueError(f"dim_sim must be an integer >= 4 * (p + sideband segments + 1)"
+                             f" = {need}, not {lp.dim_sim!r}")
         for name in ("eps", "total_predicted_error"):
             x = getattr(lp, name)
             if not _is_finite(x) or x < 0:
@@ -232,19 +234,18 @@ def simulate_lifted(lp: LiftedPlan, phi0: np.ndarray) -> tuple[np.ndarray, float
 
 
 def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
-                 phiT: np.ndarray, simulated: tuple | None = None) -> dict:
+                 phiT: np.ndarray, simulated: tuple[np.ndarray, float]) -> dict:
     """End-to-end tracking report with the iterated-approximation verdict.
 
     Checks both the unconditional budget (lifted vs modal final state is
     within the summed per-segment bounds) and the end-to-end triangle
     inequality; violation of either raises, since the underlying estimate
-    is exact mathematics.  ``simulated`` is ``simulate_lifted(lp, phi0)``
-    when the caller has already run it.
+    is exact mathematics.  ``simulated`` is ``simulate_lifted(lp, phi0)``.
     """
     dim = lp.dim_sim
     phi0 = np.asarray(phi0, dtype=np.complex128)
     phiT = np.asarray(phiT, dtype=np.complex128)
-    states, tail = simulate_lifted(lp, phi0) if simulated is None else simulated
+    states, tail = simulated
     final = states[-1]
     modal = simulate_plan_modal(plan, phi0)[-1]
     modal_p = np.zeros(dim, dtype=np.complex128)

@@ -92,18 +92,6 @@ class ExactFrequency:
     def value(self) -> float:
         return float(self.coeff) * float(np.sqrt(self.kernel))
 
-    def resonant_with(self, other: "ExactFrequency") -> bool:
-        """Exact Q-resonance: both zero, or both nonzero with equal kernels."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.kernel == other.kernel
-
-    def ratio(self, other: "ExactFrequency") -> Fraction:
-        """self / other as an exact rational; requires resonance."""
-        if not self.resonant_with(other) or other.is_zero:
-            raise ValueError("ratio is rational only within a resonance class")
-        return self.coeff / other.coeff
-
     def to_json(self) -> dict:
         return {"coeff": [self.coeff.numerator, self.coeff.denominator],
                 "kernel": self.kernel}
@@ -140,15 +128,6 @@ class ResonancePartition:
     def count(self) -> int:
         return len(self.classes)
 
-    def class_index_of_radicand(self, r: int) -> int:
-        """1-based class index of sqrt(r); r must be <= m-2."""
-        if not 0 <= r <= self.m - 2:
-            raise ValueError(f"radicand {r} outside order-{self.m} range")
-        for idx, cls in enumerate(self.classes, start=1):
-            if cls.matches_kernel(r):
-                return idx
-        raise AssertionError("partition does not cover its own range")
-
     def to_json(self) -> dict:
         return {"m": self.m, "count": self.count,
                 "classes": [c.to_json() for c in self.classes]}
@@ -177,19 +156,6 @@ def decoupling_order_ok(m: int) -> bool:
         return False
     c, _ = squarefree_decompose(m - 1)
     return c == 1
-
-
-def frequencies(cid: str, n: int) -> list[ExactFrequency]:
-    """Exact eigenvalue moduli of a sideband operator relevant at order n.
-
-    Covers sqrt(0) .. sqrt(n), i.e. everything up to the first frequency
-    outside the 4n-truncation.
-    """
-    if not (oc.is_ion(cid) and oc.is_sideband(cid)):
-        raise ValueError("only ion sideband operators carry nontrivial frequencies")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [ExactFrequency.from_radicand(r) for r in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ of evaluating every class at every s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -97,7 +97,6 @@ class DecouplingResult:
     residuals: list[float]
     t_hat: float = 0.0
     nu_kernel: int = 1
-    class_order: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {"s": self.s, "t_bar": self.t_bar, "bound": self.bound,
@@ -107,24 +106,22 @@ class DecouplingResult:
 
 
 def _torus_data(m: int, ell: int):
-    """Per-class member radicands for the scan: classes h != ell, then dec."""
+    """(members, nu_kernel): per-class radicands for the scan (classes h != ell,
+    then dec) and the square-free kernel of class ell's frequency."""
     part = sd.resonance_partition(m)
     if not 1 <= ell <= part.count:
         raise ValueError(f"class index ell={ell} outside 1..{part.count}")
-    order = []
     members = []
     for h, cls in enumerate(part.classes, start=1):
         if h == ell:
             continue
         rads = [0] if cls.nu.is_zero else [
             int(w.coeff) ** 2 * w.kernel for w in cls.members]
-        order.append(h)
         members.append(rads)
-    order.append("dec")
     members.append([m - 1])
     ell_cls = part.classes[ell - 1]
     nu_kernel = 1 if ell_cls.nu.is_zero else ell_cls.nu.kernel
-    return part, order, members, nu_kernel
+    return members, nu_kernel
 
 
 def _exact_evaluation(members, nu_kernel, s, t_hat):
@@ -158,7 +155,7 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
         raise ValueError(
             f"order m={req.m} violates the decoupling hypothesis: "
             f"omega_{req.m} = sqrt({req.m - 1}) is rationally resonant with a lower frequency")
-    _, order, members, nu_kernel = _torus_data(req.m, req.ell)
+    members, nu_kernel = _torus_data(req.m, req.ell)
 
     w = np.array([math.sqrt(r) for rads in members for r in rads], dtype=np.float64)
     cls_ptr = np.cumsum([0] + [len(rads) for rads in members]).astype(np.int64)
@@ -173,7 +170,7 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
             return DecouplingResult(
                 s=s, t_bar=req.t_hat + step * s, per_class_error=per_class,
                 bound=bound, residuals=residuals, t_hat=req.t_hat,
-                nu_kernel=nu_kernel, class_order=order)
+                nu_kernel=nu_kernel)
         return None
 
     chunk = _CHUNK_FIRST
@@ -211,7 +208,7 @@ def bound_profile(m: int, ell: int, t_hat: float, s_values) -> np.ndarray:
 
     Plot-data helper: shows how the torus residual decays along the search.
     """
-    _, _, members, nu_kernel = _torus_data(m, ell)
+    members, nu_kernel = _torus_data(m, ell)
     out = np.empty(len(s_values))
     for i, s in enumerate(s_values):
         per_class, _ = _exact_evaluation(members, nu_kernel, int(s), t_hat)

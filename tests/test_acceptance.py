@@ -240,7 +240,8 @@ def test_c7_end_to_end():
             except SearchExhaustedError as exc:
                 failures.append(f"{family}/{seed}: lift exhausted ({exc})")
                 continue
-            report = ls.error_report(plan, lp, phi0, phiT)
+            report = ls.error_report(plan, lp, phi0, phiT,
+                                     ls.simulate_lifted(lp, phi0))
             dt = time.perf_counter() - t0
             details.append(f"{family}/{seed}: err={report['final_error']:.4f} "
                            f"[{dt:.0f}s]")

@@ -1,12 +1,16 @@
+import copy
 import csv
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sideband_steer import cli
 from sideband_steer import operator_core as oc
@@ -228,6 +232,24 @@ def test_config_with_backend_key_reproduces(tmp_path):
     assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
 
 
+# small valid files: a lifted plan and a modal plan, each with one sideband
+# and one carrier segment
+_SIDEBAND = {"coupling": "V1r", "amplitude": 1.0, "duration": 1.0, "origin": 0,
+             "predicted_error": 0.01, "s": 1, "t_hat": 1.0, "nu_kernel": 1}
+_CARRIER = {"coupling": "V1", "amplitude": 1.0, "duration": 1.0, "origin": 1,
+            "predicted_error": 0.0, "s": None, "t_hat": None, "nu_kernel": None}
+_LIFTED = {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01,
+           "segments": [_SIDEBAND, _CARRIER]}
+_PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
+         "achieved_error": 0.001,
+         "segments": [{"generator": {"kind": "sideband", "gamma": 1, "part": "V",
+                                     "star": "r", "class": 3},
+                       "amplitude": 1.0, "duration": 0.5},
+                      {"generator": {"kind": "carrier", "gamma": 2, "part": "W",
+                                     "star": None, "class": None},
+                       "amplitude": -1.0, "duration": 0.25}]}
+
+
 @pytest.mark.parametrize("argv, want", [
     (["certify", "--n", "3", "--config"], 2),
     (["classes", "--m", "4", "--config", "{dir}/list.json"], 2),
@@ -251,19 +273,34 @@ def test_config_with_backend_key_reproduces(tmp_path):
     (["lift", "--plan", "{dir}/plan_class_str.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_duration_str.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_carrier_star.json", "--eps", "0.1"], 2),
+    (["simulate", "--lifted", "{dir}/dim_sim_small.json", "--phi0", "e2"], 2),
+    (["simulate", "--lifted", "{dir}/sideband_duration_null.json"], 2),
+    (["certify", "--config", "{dir}/cfg_n_float.json"], 2),
+    (["certify", "--config", "{dir}/cfg_n_null.json"], 2),
+    (["certify", "--config", "{dir}/cfg_n_list.json"], 2),
+    (["classes", "--config", "{dir}/cfg_m_float.json"], 2),
+    (["run-e2e", "--config", "{dir}/cfg_n_whole_float.json"], 2),
+    (["plan", "--config", "{dir}/cfg_seed_float.json"], 2),
+    (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
+      "--eps", "0.05", "--config", "{dir}/cfg_s_max_float.json"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
         "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
         "lifted-eps-str", "lifted-carrier-duration-str", "lifted-sideband-no-s",
         "plan-valid", "plan-p-str", "plan-achieved-error-str", "plan-M-negative",
-        "plan-class-str", "plan-duration-str", "plan-carrier-star"])
+        "plan-class-str", "plan-duration-str", "plan-carrier-star", "lifted-dim-sim-small",
+        "lifted-sideband-duration-null",
+        "config-n-float", "config-n-null", "config-n-list", "config-m-float",
+        "config-n-whole-float", "config-seed-float", "config-s-max-float"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
-    sideband = {"coupling": "V1r", "amplitude": 1.0, "duration": 1.0, "origin": 0,
-                "predicted_error": 0.01, "s": 1, "t_hat": 1.0, "nu_kernel": 1}
-    carrier = {"coupling": "V1", "amplitude": 1.0, "duration": 1.0, "origin": 1,
-               "predicted_error": 0.0, "s": None, "t_hat": None, "nu_kernel": None}
+    # each config file gives one flag a value that the flag itself would refuse
+    for name, cfg in (("n_float", {"n": 3.5}), ("n_null", {"n": None}),
+                      ("n_list", {"n": [3]}), ("m_float", {"m": 4.5}),
+                      ("n_whole_float", {"n": 3.0}), ("seed_float", {"seed": 1.5}),
+                      ("s_max_float", {"s_max": 1e9})):
+        (tmp_path / f"cfg_{name}.json").write_text(json.dumps(cfg))
     # each file breaks one field of an otherwise valid lifted plan:
     # (plan fields, sideband fields, carrier fields)
     for name, fields, side, carr in (
@@ -275,14 +312,17 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
             ("dim_sim_str", {"dim_sim": "x"}, {}, {}),
             ("eps_str", {"eps": "x"}, {}, {}),
             ("carrier_duration_str", {}, {}, {"duration": "x"}),
-            ("sideband_no_s", {}, {"s": None}, {})):
+            ("sideband_no_s", {}, {"s": None}, {}),
+            ("sideband_duration_null", {}, {"duration": None}, {}),
+            # four sidebands can reach level p + 4, beyond a dim_sim of 4 * (p + 1)
+            ("dim_sim_small", {"dim_sim": 16, "segments": [
+                {**_SIDEBAND, "coupling": c, "s": 0} for c in ("V1r", "V1b", "V1r", "V1b")]},
+             {}, {})):
         (tmp_path / f"{name}.json").write_text(json.dumps(
-            {"p": 3, "eps": 0.1, "dim_sim": 20, "total_predicted_error": 0.01, **fields,
-             "segments": [{**sideband, **side}, {**carrier, **carr}]}))
+            {**_LIFTED, "segments": [{**_SIDEBAND, **side}, {**_CARRIER, **carr}], **fields}))
     # the same for a modal plan:
     # (plan fields, sideband generator, sideband segment, carrier generator)
-    side_gen = {"kind": "sideband", "gamma": 1, "part": "V", "star": "r", "class": 3}
-    carr_gen = {"kind": "carrier", "gamma": 2, "part": "W", "star": None, "class": None}
+    side_seg, carr_seg = _PLAN["segments"]
     for name, fields, gen, seg, cgen in (
             ("valid", {}, {}, {}, {}),
             ("p_str", {"p": "x"}, {}, {}, {}),
@@ -292,17 +332,15 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
             ("duration_str", {}, {}, {"duration": "x"}, {}),
             ("carrier_star", {}, {}, {}, {"star": "r"})):
         (tmp_path / f"plan_{name}.json").write_text(json.dumps(
-            {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
-             "achieved_error": 0.001, **fields,
-             "segments": [{"generator": {**side_gen, **gen}, "amplitude": 1.0,
-                           "duration": 0.5, **seg},
-                          {"generator": {**carr_gen, **cgen}, "amplitude": -1.0,
-                           "duration": 0.25}]}))
+            {**_PLAN, **fields,
+             "segments": [{**side_seg, "generator": {**side_seg["generator"], **gen}, **seg},
+                          {**carr_seg, "generator": {**carr_seg["generator"], **cgen}}]}))
     # --output-dir goes first so that a trailing --config really is last
     argv = argv[:1] + ["--output-dir", str(tmp_path)] + [a.format(dir=tmp_path) for a in argv[1:]]
     assert run(argv) == want
     if want == 2:
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
     elif argv[0] == "lift":
         assert len(json.loads((tmp_path / "lifted_plan.json").read_text())["segments"]) == 2
     else:
@@ -360,3 +398,90 @@ def test_exit_codes_partition(tmp_path):
     }
     for want, got in codes.items():
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever one field holds, a run ends in an exit code, not a traceback
+# ---------------------------------------------------------------------------
+
+# besides arbitrary leaves, small numbers and known names reach past the type checks
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.integers(-3, 60) | st.floats(-3, 3)
+    | st.sampled_from(["V1r", "W2b", "V1", "e1", "e12", "random", "red-only", "law-eberly-r",
+                       "sideband", "carrier", "W", "b"]),
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(st.text(max_size=3), kids,
+                                                             max_size=2),
+    max_leaves=3)
+
+# (command, valid flag values by dest, caps on the integer values that set its cost)
+_FUZZ_COMMANDS = [
+    ("classes", {"m": 10}, {"m": 40}),
+    ("certify", {"n": 3, "family": "full", "tol": 1e-10}, {"n": 3}),
+    ("certify", {"n": 2, "family": "law-eberly-b", "tol": 1e-10}, {"n": 5}),
+    ("decouple", {"op": "V1r", "m": 4, "cls": 2, "t_hat": 1.0, "eps": 0.05,
+                  "s_max": 1000}, {"m": 40, "s_max": 1000}),
+    ("plan", {"n": 3, "eps": 0.5, "eps_plan": 0.05, "M": 1.0, "seed": 7, "budget": 50,
+              "family": "full", "phi0": "e1", "phiT": "e5"}, {"n": 3, "budget": 50}),
+]
+_FLAGS = {"cls": "--class", "t_hat": "--t-hat", "s_max": "--s-max", "eps_plan": "--eps-plan"}
+
+# (command and flags, file flag, valid file, paths of its fields, caps by path)
+_FUZZ_FILES = [
+    (["simulate", "--phi0", "e1", "--phiT", "e2"], "--lifted", _LIFTED,
+     [("p",), ("eps",), ("dim_sim",), ("total_predicted_error",), ("segments",)]
+     + [("segments", i, k) for i, seg in enumerate(_LIFTED["segments"]) for k in seg],
+     {("p",): 13, ("dim_sim",): 400}),
+    (["lift", "--eps", "0.1", "--s-max", "1000"], "--plan", _PLAN,
+     [(k,) for k in _PLAN]
+     + [("segments", i, k) for i in (0, 1) for k in ("amplitude", "duration", "generator")]
+     + [("segments", i, "generator", k) for i in (0, 1)
+        for k in _PLAN["segments"][i]["generator"]],
+     {("p",): 13}),
+]
+
+
+def _capped(value, cap):
+    """An integer above ``cap`` becomes ``cap``: large values are valid but slow."""
+    if cap is not None and isinstance(value, int) and not isinstance(value, bool):
+        return min(value, cap)
+    return value
+
+
+def _assert_exit_code(argv):
+    # an exception escaping cli.main fails the test with its traceback
+    assert cli.main(argv) in {0, 1, 2, 3, 4}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_FUZZ_COMMANDS), st.data(), _JSON, st.booleans())
+def test_fuzz_flags_and_config(command, data, value, as_config):
+    name, valid, caps = command
+    dest = data.draw(st.sampled_from(sorted(valid)))
+    values = {**valid, dest: _capped(value, caps.get(dest))}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [name, "--output-dir", tmp]
+        if as_config:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(values))
+            argv += ["--config", str(cfg)]
+        else:
+            for k, v in values.items():
+                argv += [_FLAGS.get(k, f"--{k}"), v if isinstance(v, str) else json.dumps(v)]
+        _assert_exit_code(argv)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_FUZZ_FILES), st.data(), _JSON)
+def test_fuzz_artifacts(target, data, value):
+    argv, flag, valid, paths, caps = target
+    path = data.draw(st.sampled_from(paths))
+    payload = copy.deepcopy(valid)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _capped(value, caps.get(path))
+    with tempfile.TemporaryDirectory() as tmp:
+        artifact = Path(tmp) / "artifact.json"
+        artifact.write_text(json.dumps(payload))
+        _assert_exit_code(argv + [flag, str(artifact), "--output-dir", tmp])

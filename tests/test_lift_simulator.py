@@ -238,7 +238,7 @@ def test_error_report_all_carrier():
     phi0 = oc.random_state(12, np.random.default_rng(2))
     modal = mp.simulate_plan_modal(plan, phi0)[-1]
     lp = ls.lift_plan(plan, eps=0.01)
-    report = ls.error_report(plan, lp, phi0, modal)
+    report = ls.error_report(plan, lp, phi0, modal, ls.simulate_lifted(lp, phi0))
     assert report["final_error"] < 1e-12
     assert report["lifting_error"] < 1e-12
     assert report["verdict"] and report["budget_sound"]
@@ -249,7 +249,7 @@ def test_error_report_verdict_fields():
     phi0, phiT = oc.random_state(12, rng), oc.random_state(12, rng)
     plan = mp.plan_transfer(phi0, phiT, 3, eps_plan=0.01, seed=55)
     lp = ls.lift_plan(plan, eps=0.09, s_max=10**9)
-    report = ls.error_report(plan, lp, phi0, phiT)
+    report = ls.error_report(plan, lp, phi0, phiT, ls.simulate_lifted(lp, phi0))
     assert report["verdict"]
     assert report["final_error"] <= plan.achieved_error + lp.total_predicted_error + 1e-9
     assert len(report["per_segment"]) == len(lp.segments)
@@ -265,7 +265,8 @@ def test_eps_halving_regression_monotone():
         errs = []
         for eps in (0.2, 0.1, 0.05, 0.025):
             lp = ls.lift_plan(plan, eps, s_max=10**9)
-            errs.append(ls.error_report(plan, lp, phi0, modal)["final_error"])
+            report = ls.error_report(plan, lp, phi0, modal, ls.simulate_lifted(lp, phi0))
+            errs.append(report["final_error"])
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
 

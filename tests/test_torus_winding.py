@@ -133,7 +133,7 @@ def test_scan_kernel_matches_full_evaluation(seed, s_base):
         m = 3 if trial == 0 else int(rng.choice([3, 4, 6, 8]))
         part = sd.resonance_partition(m)
         ell = 2 if trial == 0 else int(rng.integers(1, part.count + 1))
-        _, _, members, nu_kernel = tw._torus_data(m, ell)
+        members, nu_kernel = tw._torus_data(m, ell)
         w, cls_ptr = _scan_arrays(members)
         step = 2 * np.pi / np.sqrt(nu_kernel)
         t_hat = float(rng.uniform(-5, 5))
@@ -188,7 +188,7 @@ def test_search_exhausted_carries_best():
     assert err.best_bound == pytest.approx(
         min(brute_bound(4, 2, 1.3, s) for s in range(51)), abs=1e-9)
     # across several scan windows, best_s is the first argmin of the full scan
-    _, _, members, nu_kernel = tw._torus_data(4, 2)
+    members, nu_kernel = tw._torus_data(4, 2)
     w, cls_ptr = _scan_arrays(members)
     tot = full_scan_bounds(1.3, 2 * np.pi / np.sqrt(nu_kernel), w, cls_ptr, 0, 20001)
     with pytest.raises(SearchExhaustedError) as exc:
