@@ -100,12 +100,12 @@ class LiftedPlan:
         lp = cls(p=d["p"], eps=d["eps"], dim_sim=d["dim_sim"],
                  total_predicted_error=d["total_predicted_error"],
                  segments=[LiftedSegment.from_json(s) for s in d["segments"]])
-        if not _is_int(lp.p) or not sd.is_prime(lp.p):
-            raise ValueError(f"p must be a prime integer, not {lp.p!r}")
+        if not _is_int(lp.p) or lp.p > sd.P_MAX or not sd.is_prime(lp.p):
+            raise ValueError(f"p must be a prime integer <= {sd.P_MAX}, not {lp.p!r}")
         # the support bound that lift_plan sizes dim_sim by: one phonon level per sideband
         need = 4 * (lp.p + sum(s.is_sideband for s in lp.segments) + 1)
-        if not _is_int(lp.dim_sim) or lp.dim_sim < need:
-            raise ValueError(f"dim_sim must be an integer >= 4 * (p + sideband segments + 1)"
+        if not _is_int(lp.dim_sim) or lp.dim_sim != need:
+            raise ValueError(f"dim_sim must be 4 * (p + sideband segments + 1)"
                              f" = {need}, not {lp.dim_sim!r}")
         for name in ("eps", "total_predicted_error"):
             x = getattr(lp, name)

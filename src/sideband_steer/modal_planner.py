@@ -144,8 +144,8 @@ class Plan:
                    target_error=d["target_error"],
                    achieved_error=d["achieved_error"],
                    segments=[PlanSegment.from_json(s) for s in d["segments"]])
-        if not _is_int(plan.p) or not sd.is_prime(plan.p):
-            raise ValueError(f"p must be a prime integer, not {plan.p!r}")
+        if not _is_int(plan.p) or plan.p > sd.P_MAX or not sd.is_prime(plan.p):
+            raise ValueError(f"p must be a prime integer <= {sd.P_MAX}, not {plan.p!r}")
         if not _is_finite(plan.M) or plan.M <= 0:
             raise ValueError(f"M must be a finite number > 0, not {plan.M!r}")
         for name in ("target_error", "achieved_error"):

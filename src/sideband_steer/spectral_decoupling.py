@@ -22,6 +22,11 @@ import numpy as np
 
 from . import operator_core as oc
 
+# largest order p that a plan or lifted-plan file may carry: one 4p x 4p
+# complex propagator at p = 10**4 already takes 25 GB, and is_prime is
+# trial division, so the loaders refuse a larger p before testing it
+P_MAX = 10**4
+
 
 def squarefree_decompose(r: int) -> tuple[int, int]:
     """Write r = c^2 * k with k square-free; returns (c, k).  r >= 1."""

@@ -20,6 +20,14 @@ frequency screens the window by the distance of w*t_bar/(2*pi) to an
 integer, with a margin of a few ulps of its largest value in the window.
 Hits, exhausted best indices and best bounds are therefore bit for bit those
 of evaluating every class at every s.
+
+One batched evaluation (``_exact_batch``) does all the exact arithmetic:
+the search's acceptance check and exhausted report, the ``bound_profile``
+plot data, the lifted simulator's angles and ``exact_residual`` itself.
+It reduces each radicand's fixed-point numerator q modulo the denominator
+den once, since (s*q) mod den equals (s*(q mod den)) mod den, and then
+runs each index's arithmetic unchanged, so every float equals the
+one-index reduction's.
 """
 
 from __future__ import annotations
@@ -50,6 +58,34 @@ def _sqrt_fixed(n: int) -> int:
     return isqrt(n * 10 ** (2 * _SQRT_DIGITS))
 
 
+def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
+    """Exact class errors of radicand classes at every index in ``s_values``.
+
+    ``members`` lists each class's radicands in ascending order, and no
+    radicand lies in two classes.  Returns (bounds, per_class, residuals).
+    Row h of ``per_class`` is, per index, the largest 2|sin(delta/2)| over
+    the radicands of class h, row h of ``residuals`` the residual delta of
+    its smallest radicand; ``bounds`` sums the rows in class order.  delta
+    is ``exact_residual``'s reduction, with the winding numerator reduced
+    modulo its denominator once per radicand.
+    """
+    den = nu_kernel * 10 ** _SQRT_DIGITS
+    s_ints = [int(s) for s in s_values]
+    # radicand 0 takes base 0.0 whatever t_hat is, so its residual is 0.0
+    terms = [(_sqrt_fixed(r * nu_kernel) % den, math.sqrt(r) * t_hat if r else 0.0)
+             for cls in members for r in cls]
+    flat = [math.remainder(base + TWO_PI * ((s * q) % den / den), TWO_PI)
+            for q, base in terms for s in s_ints]
+    delta = np.array(flat).reshape(-1, len(s_ints))
+    err = 2.0 * np.abs(np.array([math.sin(0.5 * d) for d in flat])).reshape(delta.shape)
+    sizes = np.array([len(cls) for cls in members])
+    starts = np.cumsum(sizes) - sizes
+    per_class = np.maximum.reduceat(err, starts)
+    # accumulate adds row after row, as sum() over the classes would
+    bounds = np.add.accumulate(per_class)[-1]
+    return bounds, per_class, delta[starts]
+
+
 def exact_residual(radicand: int, nu_kernel: int, s: int, t_hat: float) -> float:
     """sqrt(radicand) * (t_hat + 2*pi*s/sqrt(nu_kernel)) reduced mod 2*pi.
 
@@ -59,12 +95,7 @@ def exact_residual(radicand: int, nu_kernel: int, s: int, t_hat: float) -> float
     exact square multiples of the kernel the winding part vanishes
     identically, which realizes the periodicity of the selected class.
     """
-    if radicand == 0:
-        return 0.0
-    den = nu_kernel * 10 ** _SQRT_DIGITS
-    frac = (s * _sqrt_fixed(radicand * nu_kernel)) % den / den
-    theta = math.sqrt(radicand) * t_hat + TWO_PI * frac
-    return math.remainder(theta, TWO_PI)
+    return float(_exact_batch([[radicand]], nu_kernel, [s], t_hat)[2][0, 0])
 
 
 @dataclass(frozen=True)
@@ -106,8 +137,9 @@ class DecouplingResult:
 
 
 def _torus_data(m: int, ell: int):
-    """(members, nu_kernel): per-class radicands for the scan (classes h != ell,
-    then dec) and the square-free kernel of class ell's frequency."""
+    """(members, nu_kernel): per-class radicands, ascending, for the scan
+    (classes h != ell, then dec) and the square-free kernel of class ell's
+    frequency."""
     part = sd.resonance_partition(m)
     if not 1 <= ell <= part.count:
         raise ValueError(f"class index ell={ell} outside 1..{part.count}")
@@ -122,20 +154,6 @@ def _torus_data(m: int, ell: int):
     ell_cls = part.classes[ell - 1]
     nu_kernel = 1 if ell_cls.nu.is_zero else ell_cls.nu.kernel
     return members, nu_kernel
-
-
-def _exact_evaluation(members, nu_kernel, s, t_hat):
-    per_class, residuals = [], []
-    for rads in members:
-        deltas = [exact_residual(r, nu_kernel, s, t_hat) for r in rads]
-        errs = [2.0 * abs(math.sin(0.5 * d)) for d in deltas]
-        i = int(np.argmax(errs)) if errs else 0
-        per_class.append(errs[i] if errs else 0.0)
-        # representative residual: the class representative sqrt(kernel),
-        # i.e. the smallest member; zero class reports 0
-        r_rep = min(rads)
-        residuals.append(exact_residual(r_rep, nu_kernel, s, t_hat))
-    return per_class, residuals
 
 
 def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
@@ -164,12 +182,12 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     nterms = len(w)
 
     def accept(s: int) -> DecouplingResult | None:
-        per_class, residuals = _exact_evaluation(members, nu_kernel, s, req.t_hat)
-        bound = float(sum(per_class))
+        bounds, per_class, residuals = _exact_batch(members, nu_kernel, [s], req.t_hat)
+        bound = float(bounds[0])
         if bound < req.eps:
             return DecouplingResult(
-                s=s, t_bar=req.t_hat + step * s, per_class_error=per_class,
-                bound=bound, residuals=residuals, t_hat=req.t_hat,
+                s=s, t_bar=req.t_hat + step * s, per_class_error=per_class[:, 0].tolist(),
+                bound=bound, residuals=residuals[:, 0].tolist(), t_hat=req.t_hat,
                 nu_kernel=nu_kernel)
         return None
 
@@ -191,11 +209,11 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
             s_next = int(cand) + 1
         else:
             s_next = s_hi
-    per_class, _ = _exact_evaluation(members, nu_kernel, int(best_s), req.t_hat)
+    best_bound = float(_exact_batch(members, nu_kernel, [int(best_s)], req.t_hat)[0][0])
     raise SearchExhaustedError(
         f"no s <= {req.s_max} meets eps={req.eps}; best s={best_s} "
-        f"with bound {sum(per_class):.6g}",
-        best_s=int(best_s), best_bound=float(sum(per_class)))
+        f"with bound {best_bound:.6g}",
+        best_s=int(best_s), best_bound=best_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +227,16 @@ def bound_profile(m: int, ell: int, t_hat: float, s_values) -> np.ndarray:
     Plot-data helper: shows how the torus residual decays along the search.
     """
     members, nu_kernel = _torus_data(m, ell)
-    out = np.empty(len(s_values))
-    for i, s in enumerate(s_values):
-        per_class, _ = _exact_evaluation(members, nu_kernel, int(s), t_hat)
-        out[i] = sum(per_class)
-    return out
+    return _exact_batch(members, nu_kernel, s_values, t_hat)[0]
 
 
 def exact_flow_betas(cid: str, dim: int, s: int, nu_kernel: int, t_hat: float) -> np.ndarray:
     """Per-pair rotation angles of exp(t_bar * Z_cid), exactly reduced mod 2*pi."""
     _, _, pc, _, pr = oc.pair_arrays(cid, dim)
-    betas = np.empty(len(pc))
-    cachebits = {}
-    for i, (c, r) in enumerate(zip(pc, pr)):
-        r = int(r)
-        if r not in cachebits:
-            cachebits[r] = exact_residual(r, nu_kernel, s, t_hat)
-        betas[i] = math.copysign(1.0, c) * cachebits[r]
-    return betas
+    rads = sorted(set(pr.tolist()))
+    by_rad = np.empty(rads[-1] + 1)
+    by_rad[rads] = _exact_batch([[r] for r in rads], nu_kernel, [s], t_hat)[2][:, 0]
+    return np.copysign(1.0, pc) * by_rad[pr]
 
 
 def ell_class_betas(cid: str, dim: int, part: sd.ResonancePartition, ell: int,

@@ -116,7 +116,9 @@ def test_decouple_writes_certificate(tmp_path):
     with open(tmp_path / "decouple_trace_V1r_m4_c2.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["s", "bound"]
-    assert float(rows[-1][1]) == pytest.approx(blob["bound"])
+    # one exact evaluator writes both: the trace ends on the certified index
+    assert int(rows[-1][0]) == blob["s"] == 11339
+    assert float(rows[-1][1]) == blob["bound"]
 
 
 def test_decouple_exhaustion_exit(tmp_path):
@@ -263,11 +265,14 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
     (["simulate", "--lifted", "{dir}/p_str.json"], 2),
     (["simulate", "--lifted", "{dir}/p_composite.json"], 2),
     (["simulate", "--lifted", "{dir}/dim_sim_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/dim_sim_huge.json"], 2),
+    (["simulate", "--lifted", "{dir}/p_huge.json"], 2),
     (["simulate", "--lifted", "{dir}/eps_str.json"], 2),
     (["simulate", "--lifted", "{dir}/carrier_duration_str.json"], 2),
     (["simulate", "--lifted", "{dir}/sideband_no_s.json"], 2),
     (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1"], 0),
     (["lift", "--plan", "{dir}/plan_p_str.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_p_huge.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_achieved_error_str.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_M_negative.json", "--eps", "0.1"], 2),
     (["lift", "--plan", "{dir}/plan_class_str.json", "--eps", "0.1"], 2),
@@ -286,8 +291,9 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
         "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
+        "lifted-dim-sim-huge", "lifted-p-huge",
         "lifted-eps-str", "lifted-carrier-duration-str", "lifted-sideband-no-s",
-        "plan-valid", "plan-p-str", "plan-achieved-error-str", "plan-M-negative",
+        "plan-valid", "plan-p-str", "plan-p-huge", "plan-achieved-error-str", "plan-M-negative",
         "plan-class-str", "plan-duration-str", "plan-carrier-star", "lifted-dim-sim-small",
         "lifted-sideband-duration-null",
         "config-n-float", "config-n-null", "config-n-list", "config-m-float",
@@ -310,6 +316,9 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
             ("p_str", {"p": "x"}, {}, {}),
             ("p_composite", {"p": 4}, {}, {}),
             ("dim_sim_str", {"dim_sim": "x"}, {}, {}),
+            # a 16 TiB state vector, and a p whose trial division never ends
+            ("dim_sim_huge", {"dim_sim": 2**40}, {}, {}),
+            ("p_huge", {"p": 2**61 - 1}, {}, {}),
             ("eps_str", {"eps": "x"}, {}, {}),
             ("carrier_duration_str", {}, {}, {"duration": "x"}),
             ("sideband_no_s", {}, {"s": None}, {}),
@@ -326,6 +335,7 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     for name, fields, gen, seg, cgen in (
             ("valid", {}, {}, {}, {}),
             ("p_str", {"p": "x"}, {}, {}, {}),
+            ("p_huge", {"p": 2**61 - 1}, {}, {}, {}),
             ("achieved_error_str", {"achieved_error": "x"}, {}, {}, {}),
             ("M_negative", {"M": -1.0}, {}, {}, {}),
             ("class_str", {}, {"class": "x"}, {}, {}),

@@ -235,6 +235,67 @@ def test_result_json():
 # ---------------------------------------------------------------------------
 
 
+def scalar_residual(radicand, nu_kernel, s, t_hat):
+    """Test-local copy of the one-index reduction, with its own square root."""
+    if radicand == 0:
+        return 0.0
+    den = nu_kernel * 10 ** tw._SQRT_DIGITS
+    frac = (s * math.isqrt(radicand * nu_kernel * 10 ** (2 * tw._SQRT_DIGITS))) % den / den
+    return math.remainder(math.sqrt(radicand) * t_hat + 2 * math.pi * frac, 2 * math.pi)
+
+
+def scalar_profile(m, ell, t_hat, s_values):
+    """Test-local oracle for bound_profile: one index, one class, one radicand at a time."""
+    members, nu_kernel = tw._torus_data(m, ell)
+    out = np.empty(len(s_values))
+    for i, s in enumerate(s_values):
+        errs = [[2.0 * abs(math.sin(0.5 * scalar_residual(r, nu_kernel, int(s), t_hat)))
+                 for r in rads] for rads in members]
+        per_class = [e[int(np.argmax(e))] for e in errs]
+        # sum() as Python adds floats up to 3.11: left to right, uncompensated
+        total = 0.0
+        for e in per_class:
+            total += e
+        out[i] = total
+    return out
+
+
+def scalar_flow_betas(cid, dim, s, nu_kernel, t_hat):
+    """Test-local oracle for exact_flow_betas: one reduction per pair."""
+    _, _, pc, _, pr = oc.pair_arrays(cid, dim)
+    return np.array([math.copysign(1.0, c) * scalar_residual(int(r), nu_kernel, s, t_hat)
+                     for c, r in zip(pc, pr)])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6, 8, 12])
+def test_bound_profile_bits_match_scalar_oracle(m):
+    # the batched evaluation reduces each radicand's numerator once; every
+    # float it returns is bit for bit the one-index reduction's
+    rng = np.random.default_rng(m)
+    for ell in range(1, sd.resonance_partition(m).count + 1):
+        for top in (10**6, 10**9, 10**12):
+            t_hat = float(rng.uniform(-5, 5))
+            grid = np.unique(np.linspace(0, top, 512).astype(np.int64))
+            assert np.array_equal(_bits(tw.bound_profile(m, ell, t_hat, grid)),
+                                  _bits(scalar_profile(m, ell, t_hat, grid)))
+
+
+@pytest.mark.parametrize("dim", [20, 200])
+def test_exact_flow_betas_bits_match_scalar_oracle(dim):
+    rng = np.random.default_rng(dim)
+    for cid in (i for i in oc.ION_IDS if oc.is_sideband(i)):
+        for s in (0, 374, 10**12 + 7):
+            nu_kernel = int(rng.choice([1, 2, 3, 5]))
+            t_hat = float(rng.uniform(-5, 5))
+            got = tw.exact_flow_betas(cid, dim, s, nu_kernel, t_hat)
+            want = scalar_flow_betas(cid, dim, s, nu_kernel, t_hat)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_exact_residual_periodicity_of_selected_class():
     # members of the selected class have radicand q^2 * kernel: the winding
     # contribution cancels identically, at any s
