@@ -8,6 +8,7 @@ exactly one implementation.
 All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
 a bundle of independent 2x2 rotations, never a dense matrix exponential.
+``rotate_pairs`` applies them to a state or to a block of columns alike.
 The objective scatters the same 2x2 rotation entries into a dense stack
 of small propagators, one per segment, so that each sweep step is a
 single mat-vec (forward on the state, backward on the conjugated adjoint
@@ -31,32 +32,28 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def rotate_pairs(state, pj, pk, betas, kinds):
-    """Apply disjoint 2x2 rotations to ``state`` in place."""
-    if len(pj) == 0:
-        return state
-    a = state[pj]
-    b = state[pk]
+def _rotation(betas, kinds):
+    """(cos, upper, lower): each pair's rotation of (a_j, a_k) is the matrix
+    [[cos, upper], [lower, cos]], with the entries of the table above."""
     c = np.cos(betas)
     s = np.sin(betas)
-    se = np.where(kinds == 0, 1j * s, s.astype(np.complex128))
-    state[pj] = c * a + se * b
-    state[pk] = np.where(kinds == 0, se, -se) * a + c * b
-    return state
+    up = np.where(kinds == 0, 1j * s, s.astype(np.complex128))
+    return c, up, np.where(kinds == 0, up, -up)
 
 
-def rotate_pairs_matrix(mat, pj, pk, betas, kinds):
-    """Row-wise pair rotations on a (dim, ncols) matrix, in place."""
+def rotate_pairs(state, pj, pk, betas, kinds):
+    """Apply disjoint 2x2 rotations, in place, to the rows of ``state``:
+    a state vector or a (dim, ncols) block of columns."""
     if len(pj) == 0:
-        return mat
-    a = mat[pj, :]
-    b = mat[pk, :]
-    c = np.cos(betas)[:, None]
-    s = np.sin(betas)[:, None]
-    se = np.where((kinds == 0)[:, None], 1j * s, s.astype(np.complex128))
-    mat[pj, :] = c * a + se * b
-    mat[pk, :] = np.where((kinds == 0)[:, None], se, -se) * a + c * b
-    return mat
+        return state
+    c, up, lo = _rotation(betas, kinds)
+    if state.ndim == 2:  # one rotation per row, applied to every column
+        c, up, lo = c[:, None], up[:, None], lo[:, None]
+    a = state[pj]
+    b = state[pk]
+    state[pj] = c * a + up * b
+    state[pk] = lo * a + c * b
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +159,8 @@ def _scan_block(t_hat, step, w, classes, w_pi, eps, s0, s1, best_s, best_bound, 
 # Segment k is the flow U_k = exp(theta_k * S_k) of one disjoint-pair
 # operator (CSR layout seg_ptr / pj / pk / pc / pkind, rotation angle
 # theta_k * pc).  All nseg propagators of an evaluation are built at once as
-# a dense (nseg, dim, dim) stack: the identity, with the same cos / sin
-# pair entries that rotate_pairs applies scattered into it.
+# a dense (nseg, dim, dim) stack: the identity, with the same rotation
+# entries that rotate_pairs applies (_rotation) scattered into it.
 # Forward: phi_{k+1} = U_k phi_k, one mat-vec per segment.
 # Objective: f = ||phi_K - target||^2 summed componentwise (no cancellation,
 # so values down to ~1e-30 stay meaningful).
@@ -179,16 +176,13 @@ def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     nseg = len(thetas)
     dim = phi0.shape[0]
     seg = np.repeat(np.arange(nseg), np.diff(seg_ptr))
-    ang = thetas[seg] * pc
-    c = np.cos(ang)
-    e = pkind == 0
-    se = np.where(e, 1j * np.sin(ang), np.sin(ang))
+    c, up, lo = _rotation(thetas[seg] * pc, pkind)
     u = np.zeros((nseg, dim, dim), dtype=np.complex128)
     u.reshape(nseg, dim * dim)[:, ::dim + 1] = 1.0
     u[seg, pj, pj] = c
     u[seg, pk, pk] = c
-    u[seg, pj, pk] = se
-    u[seg, pk, pj] = np.where(e, se, -se)
+    u[seg, pj, pk] = up
+    u[seg, pk, pj] = lo
     phi = np.empty((nseg + 1, dim), dtype=np.complex128)
     phi[0] = phi0
     for k in range(nseg):
@@ -200,6 +194,7 @@ def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     for k in range(nseg - 1, -1, -1):
         np.dot(lam[k + 1], u[k], out=lam[k])
     # S_k phi is cj * phi[pk] at pj and ck * phi[pj] at pk
+    e = pkind == 0
     cj = np.where(e, 1j * pc, pc)
     ck = np.where(e, 1j * pc, -pc)
     after = seg + 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -78,8 +79,10 @@ def _write_json(path: Path, payload: dict, config: dict) -> None:
         fh.write("\n")
 
 
-def _config_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _config_dict(args) -> dict:
+    """The settings an artifact records: the command's own value flags."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "output_dir", "config")}
 
 
 def _walk_parsers(parser):
@@ -127,13 +130,24 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
     return argv
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: nan and infinities are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return x
+
+
 def _check_config_value(action: argparse.Action, value) -> None:
     """A config value must be one the same flag would accept: a ValueError if not."""
     if value is None:
         ok = action.default is None and not action.required
     elif action.type is int:
         ok = _is_int(value)
-    elif action.type is float:
+    elif action.type is _finite_float:
         ok = _is_finite(value)
     else:
         ok = isinstance(value, str)
@@ -159,7 +173,7 @@ def _read_artifact(path, parse):
 def cmd_certify(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = _config_dict(args, ("n", "family", "tol"))
+    config = _config_dict(args)
     if args.family.startswith("law-eberly"):
         rep = lc.certify_law_eberly(args.n, args.family[-1], args.tol)
     else:
@@ -178,7 +192,7 @@ def cmd_classes(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     part = sd.resonance_partition(args.m)
     path = outdir / f"classes_m{args.m}.json"
-    _write_json(path, part.to_json(), _config_dict(args, ("m",)))
+    _write_json(path, part.to_json(), _config_dict(args))
     print(f"m={args.m} N={part.count} -> {path}")
     return EXIT_OK
 
@@ -188,7 +202,7 @@ def cmd_decouple(args) -> int:
         raise ValueError("eps must be positive")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = _config_dict(args, ("op", "m", "cls", "t_hat", "eps", "s_max"))
+    config = _config_dict(args)
     req = tw.DecouplingRequest(id=args.op, m=args.m, ell=args.cls,
                                t_hat=args.t_hat, eps=args.eps, s_max=args.s_max)
     res = tw.find_decoupling_time(req)
@@ -209,12 +223,6 @@ def cmd_decouple(args) -> int:
     print(f"s={res.s} t_bar={res.t_bar:.6g} bound={res.bound:.3e} "
           f"measured={measured:.3e} -> {path}")
     return EXIT_OK
-
-
-# settings that plan and run-e2e record in their artifacts (s_max and jobs
-# exist on run-e2e only); both add eps_plan as _planner_eps resolves it
-_PLAN_KEYS = ("n", "eps", "M", "seed", "budget", "family", "phi0", "phiT",
-              "s_max", "jobs")
 
 
 def _planner_eps(args) -> float:
@@ -244,7 +252,7 @@ def cmd_plan(args) -> int:
     eps_plan = _planner_eps(args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = {**_config_dict(args, _PLAN_KEYS), "eps_plan": eps_plan}
+    config = {**_config_dict(args), "eps_plan": eps_plan}
     plan, _, _ = _plan(args, ls.choose_prime(args.n), eps_plan)
     path = outdir / "plan.json"
     _write_json(path, plan.to_json(), config)
@@ -260,7 +268,7 @@ def cmd_lift(args) -> int:
         d if "segments" in d else d["plan"]))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = _config_dict(args, ("plan", "eps", "s_max", "jobs"))
+    config = _config_dict(args)
     lp = ls.lift_plan(plan, args.eps, s_max=args.s_max, jobs=args.jobs)
     path = outdir / "lifted_plan.json"
     _write_json(path, lp.to_json(), config)
@@ -288,7 +296,7 @@ def cmd_simulate(args) -> int:
     lp = _read_artifact(args.lifted, ls.LiftedPlan.from_json)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = _config_dict(args, ("lifted", "phi0", "phiT", "seed"))
+    config = _config_dict(args)
     rng = np.random.default_rng([args.seed, 0])
     phi0 = parse_state_spec(args.phi0, 4 * lp.p, rng)
     states, tail = ls.simulate_lifted(lp, phi0)
@@ -312,7 +320,7 @@ def cmd_run_e2e(args) -> int:
     eps_plan = _planner_eps(args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = {**_config_dict(args, _PLAN_KEYS), "eps_plan": eps_plan}
+    config = {**_config_dict(args), "eps_plan": eps_plan}
 
     p = ls.choose_prime(args.n)
     cert = lc.certify_modal(p, args.family)
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="full",
                    choices=["full", "red-only", "blue-only",
                             "law-eberly-r", "law-eberly-b"])
-    p.add_argument("--tol", type=float, default=lc.DEFAULT_TOL)
+    p.add_argument("--tol", type=_finite_float, default=lc.DEFAULT_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classes", help="resonance classes at order m")
@@ -390,17 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
                                                    if oc.is_sideband(i)])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--t-hat", dest="t_hat", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--t-hat", dest="t_hat", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--s-max", dest="s_max", type=int, default=tw.DEFAULT_S_MAX)
     p.set_defaults(func=cmd_decouple)
 
     def plannerish(p):
         common(p)
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--eps", type=float, default=0.1)
-        p.add_argument("--eps-plan", dest="eps_plan", type=float, default=None)
-        p.add_argument("--M", type=float, default=1.0)
+        p.add_argument("--eps", type=_finite_float, default=0.1)
+        p.add_argument("--eps-plan", dest="eps_plan", type=_finite_float, default=None)
+        p.add_argument("--M", type=_finite_float, default=1.0)
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--budget", type=int, default=mp.DEFAULT_BUDGET)
         p.add_argument("--family", default="full", choices=list(mp.FAMILIES))
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="lift a plan to the full system")
     common(p)
     p.add_argument("--plan", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--s-max", dest="s_max", type=int, default=tw.DEFAULT_S_MAX)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_lift)

@@ -38,7 +38,6 @@ class GeneratorFamily:
 
     members: list[np.ndarray]
     labels: list[str]
-    removed_traces: list[complex] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.members:
@@ -47,7 +46,6 @@ class GeneratorFamily:
             raise ValueError("labels and members must align")
         d = self.members[0].shape[0]
         cleaned = []
-        self.removed_traces = []
         for lab, m in zip(self.labels, self.members):
             m = np.asarray(m, dtype=np.complex128)
             if m.shape != (d, d):
@@ -55,7 +53,6 @@ class GeneratorFamily:
             if np.linalg.norm(m + m.conj().T) > 1e-12 * max(1.0, np.linalg.norm(m)):
                 raise ValueError(f"member {lab} is not skew-Hermitian")
             tr = np.trace(m)
-            self.removed_traces.append(complex(tr))
             if abs(tr) > 0:
                 m = m - (tr / d) * np.eye(d)
             cleaned.append(m)

@@ -172,7 +172,7 @@ def default_generator_ids(p: int, family: str = "full") -> list[GeneratorId]:
         for star in stars:
             for part_name in ("V", "W"):
                 for j, cls in enumerate(part.classes, start=1):
-                    if cls.nu.is_zero:
+                    if cls.kernel == 0:
                         continue
                     gens.append(GeneratorId("sideband", gamma, part_name, star, j))
     return gens
@@ -378,27 +378,3 @@ def simulate_plan_modal(plan: Plan, phi0: np.ndarray) -> np.ndarray:
     phi = np.pad(np.asarray(phi0, dtype=np.complex128), (0, dim - len(phi0)))
     prog = _program([seg.generator for seg in plan.segments], plan.p)
     return prog.states(phi, [seg.angle for seg in plan.segments])
-
-
-def gradient_check(plan: Plan, phi0: np.ndarray, phiT: np.ndarray,
-                   step: float = 1e-6) -> float:
-    """Adjoint gradient vs central differences; max discrepancy relative
-    to the gradient scale."""
-    dim = 4 * plan.p
-    phi0 = np.pad(oc.normalize(phi0), (0, dim - len(phi0)))
-    phiT = np.pad(oc.normalize(phiT), (0, dim - len(phiT)))
-    prog = _program([seg.generator for seg in plan.segments], plan.p)
-    thetas = np.array([seg.angle for seg in plan.segments])
-
-    def f_grad(th):
-        return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
-                                       prog.coeff, prog.kind)
-
-    _, grad = f_grad(thetas)
-    fd = np.empty_like(grad)
-    for i in range(len(thetas)):
-        e = np.zeros_like(thetas)
-        e[i] = step
-        fd[i] = (f_grad(thetas + e)[0] - f_grad(thetas - e)[0]) / (2 * step)
-    scale = max(1.0, float(np.max(np.abs(grad))) if len(grad) else 0.0)
-    return float(np.max(np.abs(grad - fd)) / scale) if len(grad) else 0.0

@@ -83,15 +83,6 @@ def basis_index(internal: str, phonon: int) -> int:
     return 4 * phonon + INTERNAL_LEVELS.index(internal) + 1
 
 
-def basis_state(j: int, dim: int) -> np.ndarray:
-    """Unit vector phi_j (1-based) in C^dim."""
-    if not 1 <= j <= dim:
-        raise ValueError(f"basis index {j} outside dimension {dim}")
-    phi = np.zeros(dim, dtype=np.complex128)
-    phi[j - 1] = 1.0
-    return phi
-
-
 def normalize(phi: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(phi)
     if nrm == 0:
@@ -114,8 +105,8 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 class TruncatedOperator:
     """A skew-Hermitian truncation with its disjoint two-level structure.
 
-    ``pj``/``pk`` are 0-based index arrays; the :attr:`pairs` property
-    yields the 1-based (j, k, coefficient, kind) view.  ``radicand`` holds
+    ``pj``/``pk`` are 0-based index arrays of the pairs, ``coeff`` and
+    ``kind`` their coefficients and E/F kinds.  ``radicand`` holds
     the integer R with |coefficient| = sqrt(R), which is what makes the
     spectral bookkeeping exact.  Instances are treated as immutable.
     """
@@ -128,11 +119,6 @@ class TruncatedOperator:
     kind: np.ndarray  # uint8: 0 = E, 1 = F
     radicand: np.ndarray
     _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def pairs(self):
-        return [(int(j) + 1, int(k) + 1, float(c), "E" if t == 0 else "F")
-                for j, k, c, t in zip(self.pj, self.pk, self.coeff, self.kind)]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -180,8 +166,9 @@ def iter_ion_pairs(cid: str, max_min_index: int):
 
 
 @lru_cache(maxsize=None)
-def _pair_arrays(cid: str, dim: int):
-    """0-based pair arrays of the operator truncated to ``dim``."""
+def pair_arrays(cid: str, dim: int):
+    """Cached 0-based pair arrays (pj, pk, coeff, kind, radicand) of the
+    operator truncated to ``dim``."""
     pj, pk, pc, pt, pr = [], [], [], [], []
     if is_ion(cid):
         for j, k, c, kind, rad in iter_ion_pairs(cid, dim):
@@ -231,7 +218,7 @@ def build_coupling(cid: str, n: int) -> TruncatedOperator:
 
 def truncate(cid: str, dim: int) -> TruncatedOperator:
     """The coupling operator truncated to an arbitrary dimension."""
-    return TruncatedOperator(cid, dim, *_pair_arrays(cid, dim))
+    return TruncatedOperator(cid, dim, *pair_arrays(cid, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +235,6 @@ def _check_support_inside(cid: str, phi: np.ndarray, dim_sim: int) -> None:
         if max(j, k) > dim_sim and (phi[j - 1] != 0 or (k - 1 < len(phi) and phi[k - 1] != 0)):
             raise TruncationOverflowError(
                 f"pair ({j},{k}) of {cid} touches the support but exits dim_sim={dim_sim}")
-
-
-def pair_arrays(cid: str, dim: int):
-    """Public view of the cached 0-based pair arrays (pj, pk, coeff, kind, radicand)."""
-    return _pair_arrays(cid, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Exact frequency arithmetic, resonance classes, and decoupled generators.
 
-Frequencies of the sideband operators are sqrt(j) for integer j, carried
-exactly as (rational coefficient) * sqrt(square-free kernel).  Rational
-resonance of two nonzero frequencies is then decidable: it holds exactly
-when the kernels agree.  Nothing in this module clusters floating-point
-eigenvalues.
+Frequencies of the sideband operators are sqrt(r) for integer radicands
+r, and the integer r is all this module carries: with r = c^2 * k and k
+square-free, two nonzero frequencies are rationally resonant exactly when
+their kernels k agree.  A resonance class is a kernel and its radicands.
+Nothing in this module clusters floating-point eigenvalues.
 
 :func:`class_mask` is the one rule that assigns a two-level pair to a
 resonance class; the planner's class generators and the winding
@@ -16,7 +16,7 @@ U = sum_j U_j + U_dec + U_rho and its class projectors are test oracles
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -61,65 +61,20 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ExactFrequency:
-    """Value coeff * sqrt(kernel) with kernel square-free; zero is (0, 1)."""
-
-    coeff: Fraction
-    kernel: int
-
-    def __post_init__(self):
-        if self.kernel < 1:
-            raise ValueError("kernel must be a positive integer")
-        _, k = squarefree_decompose(self.kernel)
-        if k != self.kernel:
-            raise ValueError(f"kernel {self.kernel} is not square-free")
-        if self.coeff < 0:
-            raise ValueError("coefficient must be nonnegative")
-        if self.coeff == 0 and self.kernel != 1:
-            raise ValueError("zero frequency must carry kernel 1")
-
-    @classmethod
-    def zero(cls) -> "ExactFrequency":
-        return cls(Fraction(0), 1)
-
-    @classmethod
-    def from_radicand(cls, r: int) -> "ExactFrequency":
-        """sqrt(r) for integer r >= 0, reduced to canonical form."""
-        if r == 0:
-            return cls.zero()
-        c, k = squarefree_decompose(r)
-        return cls(Fraction(c), k)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def value(self) -> float:
-        return float(self.coeff) * float(np.sqrt(self.kernel))
-
-    def to_json(self) -> dict:
-        return {"coeff": [self.coeff.numerator, self.coeff.denominator],
-                "kernel": self.kernel}
-
-
-@dataclass(frozen=True)
 class ResonanceClass:
-    """One Q-resonance class with its representative nu (zero for {0})."""
+    """One Q-resonance class: the radicands r of its frequencies sqrt(r),
+    ascending, all with the square-free kernel ``kernel``.  The zero class
+    is kernel 0 with the single radicand 0."""
 
-    members: tuple[ExactFrequency, ...]
-    nu: ExactFrequency
-
-    def matches_kernel(self, r: int) -> bool:
-        """Same kernel as this class (ignores the order cutoff)."""
-        if r == 0:
-            return self.nu.is_zero
-        if self.nu.is_zero:
-            return False
-        return squarefree_decompose(r)[1] == self.nu.kernel
+    kernel: int
+    radicands: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {"members": [w.to_json() for w in self.members],
-                "nu": self.nu.to_json()}
+        # each frequency as sqrt(r) = c * sqrt(k); zero is 0 * sqrt(1)
+        k = self.kernel or 1
+        return {"members": [{"coeff": [isqrt(r // k), 1], "kernel": k}
+                            for r in self.radicands],
+                "nu": {"coeff": [int(self.kernel > 0), 1], "kernel": k}}
 
 
 @dataclass(frozen=True)
@@ -145,10 +100,8 @@ def resonance_partition(m: int) -> ResonancePartition:
     by_kernel: dict[int, list[int]] = {}
     for r in range(1, m - 1):
         by_kernel.setdefault(squarefree_decompose(r)[1], []).append(r)
-    classes = [ResonanceClass((ExactFrequency.zero(),), ExactFrequency.zero())]
-    for kernel in sorted(by_kernel):
-        members = tuple(ExactFrequency.from_radicand(r) for r in sorted(by_kernel[kernel]))
-        classes.append(ResonanceClass(members, ExactFrequency(Fraction(1), kernel)))
+    classes = [ResonanceClass(0, (0,))]
+    classes += [ResonanceClass(k, tuple(by_kernel[k])) for k in sorted(by_kernel)]
     return ResonancePartition(m, tuple(classes))
 
 
@@ -172,13 +125,11 @@ def class_mask(part: ResonancePartition, j: int, radicands) -> np.ndarray:
     """Which pairs lie in class j at order ``part.m``, given their radicands.
 
     A pair with |coefficient| = sqrt(r) spans the eigenvectors for
-    +-i*sqrt(r), so it belongs to class j exactly when sqrt(r) shares the
-    class kernel and r <= m-2.  No coupling pair has r = 0, so the zero
-    class selects none.
+    +-i*sqrt(r), so it belongs to class j exactly when r is one of the
+    class's radicands: the same kernel, and r <= m-2.  No coupling pair has
+    r = 0, so the zero class selects none.
     """
-    cls = part.classes[j - 1]
-    return np.array([int(r) <= part.m - 2 and cls.matches_kernel(int(r))
-                     for r in radicands], dtype=bool)
+    return np.isin(radicands, part.classes[j - 1].radicands)
 
 
 def build_decoupled_generator(cid: str, j: int, n: int) -> oc.TruncatedOperator:

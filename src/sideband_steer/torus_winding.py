@@ -23,11 +23,10 @@ of evaluating every class at every s.
 
 One batched evaluation (``_exact_batch``) does all the exact arithmetic:
 the search's acceptance check and exhausted report, the ``bound_profile``
-plot data, the lifted simulator's angles and ``exact_residual`` itself.
-It reduces each radicand's fixed-point numerator q modulo the denominator
-den once, since (s*q) mod den equals (s*(q mod den)) mod den, and then
-runs each index's arithmetic unchanged, so every float equals the
-one-index reduction's.
+plot data and the lifted simulator's angles.  It reduces each radicand's
+fixed-point numerator q modulo the denominator den once, since (s*q) mod
+den equals (s*(q mod den)) mod den, and then runs each index's arithmetic
+unchanged, so every float equals the one-index reduction's.
 """
 
 from __future__ import annotations
@@ -65,9 +64,15 @@ def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
     radicand lies in two classes.  Returns (bounds, per_class, residuals).
     Row h of ``per_class`` is, per index, the largest 2|sin(delta/2)| over
     the radicands of class h, row h of ``residuals`` the residual delta of
-    its smallest radicand; ``bounds`` sums the rows in class order.  delta
-    is ``exact_residual``'s reduction, with the winding numerator reduced
-    modulo its denominator once per radicand.
+    its smallest radicand; ``bounds`` sums the rows in class order.
+
+    delta is sqrt(r) * (t_hat + 2*pi*s/sqrt(nu_kernel)) reduced mod 2*pi
+    into [-pi, pi].  The winding part s*sqrt(r/nu_kernel) is reduced with
+    ~40 guard digits of integer arithmetic, its numerator modulo its
+    denominator once per radicand, so delta is accurate to ~1e-15 rad even
+    for s near 1e12.  For radicands that are exact square multiples of the
+    kernel the winding part vanishes identically, which realizes the
+    periodicity of the selected class.
     """
     den = nu_kernel * 10 ** _SQRT_DIGITS
     s_ints = [int(s) for s in s_values]
@@ -84,18 +89,6 @@ def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
     # accumulate adds row after row, as sum() over the classes would
     bounds = np.add.accumulate(per_class)[-1]
     return bounds, per_class, delta[starts]
-
-
-def exact_residual(radicand: int, nu_kernel: int, s: int, t_hat: float) -> float:
-    """sqrt(radicand) * (t_hat + 2*pi*s/sqrt(nu_kernel)) reduced mod 2*pi.
-
-    Returned centered in [-pi, pi].  The winding part s*sqrt(R/k) is
-    reduced with ~40 guard digits of integer arithmetic, so the result is
-    accurate to ~1e-15 rad even for s near 1e12.  For radicands that are
-    exact square multiples of the kernel the winding part vanishes
-    identically, which realizes the periodicity of the selected class.
-    """
-    return float(_exact_batch([[radicand]], nu_kernel, [s], t_hat)[2][0, 0])
 
 
 @dataclass(frozen=True)
@@ -139,34 +132,28 @@ class DecouplingResult:
 def _torus_data(m: int, ell: int):
     """(members, nu_kernel): per-class radicands, ascending, for the scan
     (classes h != ell, then dec) and the square-free kernel of class ell's
-    frequency."""
+    frequency, 1 for the zero class."""
     part = sd.resonance_partition(m)
     if not 1 <= ell <= part.count:
         raise ValueError(f"class index ell={ell} outside 1..{part.count}")
-    members = []
-    for h, cls in enumerate(part.classes, start=1):
-        if h == ell:
-            continue
-        rads = [0] if cls.nu.is_zero else [
-            int(w.coeff) ** 2 * w.kernel for w in cls.members]
-        members.append(rads)
-    members.append([m - 1])
-    ell_cls = part.classes[ell - 1]
-    nu_kernel = 1 if ell_cls.nu.is_zero else ell_cls.nu.kernel
-    return members, nu_kernel
+    members = [list(cls.radicands) for h, cls in enumerate(part.classes, start=1) if h != ell]
+    return members + [[m - 1]], part.classes[ell - 1].kernel or 1
 
 
 def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     """Smallest s in 0..s_max with sum of class errors below req.eps.
 
     The hypothesis "omega_h/omega_m irrational or zero" is checked exactly
-    before searching (it reduces to m-1 square-free).  Raises
-    SearchExhaustedError with the best candidate when no s qualifies.
+    before searching (it reduces to m-1 square-free).  s_max must lie in
+    [0, 2**53): the scan's float offsets are exact only below 2**53.
+    Raises SearchExhaustedError with the best candidate when no s qualifies.
     """
     if not (oc.is_ion(req.id) and oc.is_sideband(req.id)):
         raise ValueError("decoupling applies to ion sideband operators only")
     if req.eps <= 0:
         raise ValueError("eps must be positive")
+    if not 0 <= req.s_max < 2**53:
+        raise ValueError(f"s_max must lie in [0, 2**53), not {req.s_max}")
     if req.m < 2:
         raise ValueError("order m must be >= 2")
     if not sd.decoupling_order_ok(req.m):
@@ -265,10 +252,10 @@ def verify_sigma(req: DecouplingRequest, res: DecouplingResult, dim_sim: int) ->
 
     cols = np.zeros((dim_sim, ydim), dtype=np.complex128)
     cols[:ydim] = np.eye(ydim)
-    _kernels.rotate_pairs_matrix(cols, pj, pk, betas_full, pt)  # exp(t_bar U)
+    _kernels.rotate_pairs(cols, pj, pk, betas_full, pt)  # exp(t_bar U)
     full_flow = cols.copy()
     (lj, lk, lt), lbetas = ell_class_betas(req.id, dim_sim, part, req.ell, -req.t_hat)
-    _kernels.rotate_pairs_matrix(cols, lj, lk, lbetas, lt)  # exp(-t_hat U_ell)
+    _kernels.rotate_pairs(cols, lj, lk, lbetas, lt)  # exp(-t_hat U_ell)
 
     sigma_minus_i = cols.copy()
     sigma_minus_i[:ydim] -= np.eye(ydim)
@@ -276,7 +263,7 @@ def verify_sigma(req: DecouplingRequest, res: DecouplingResult, dim_sim: int) ->
 
     # identity check: exp(t_hat U_ell) Sigma == exp(t_bar U) on Y
     recomposed = cols.copy()
-    _kernels.rotate_pairs_matrix(recomposed, lj, lk, -lbetas, lt)
+    _kernels.rotate_pairs(recomposed, lj, lk, -lbetas, lt)
     ident_err = float(np.linalg.norm(recomposed - full_flow, ord=2))
     if ident_err > 1e-10:
         raise InternalConsistencyError(

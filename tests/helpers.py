@@ -6,8 +6,10 @@ are the closed forms the C2 checks compare against, and the dense
 decomposition U = sum_j U_j + U_dec + U_rho with its class projectors is
 what C3 checks; it routes pairs through the package's own class rule,
 ``spectral_decoupling.class_mask``.  ``segment_flow`` is one segment of the
-runtime ``SegmentProgram`` path that both simulators use, and
-``basis_split`` inverts the runtime ``operator_core.basis_index``.
+runtime ``SegmentProgram`` path that both simulators use,
+``basis_split`` inverts the runtime ``operator_core.basis_index``, and
+``gradient_check`` compares the planner's adjoint gradient with central
+differences.
 """
 
 from collections import namedtuple
@@ -15,6 +17,8 @@ from collections import namedtuple
 import numpy as np
 from scipy.linalg import expm
 
+from sideband_steer import _kernels
+from sideband_steer import modal_planner as mp
 from sideband_steer import operator_core as oc
 from sideband_steer import spectral_decoupling as sd
 
@@ -48,6 +52,13 @@ BLOCK_PATTERNS = {
     "W2b": (1, [[Z, Z, (1, "DT"), Z], [Z, Z, Z, (1, "DT")],
                 [(-1, "D"), Z, Z, Z], [Z, (-1, "D"), Z, Z]]),
 }
+
+
+def basis_state(j, dim):
+    """Unit vector phi_j (1-based) in C^dim."""
+    phi = np.zeros(dim, dtype=np.complex128)
+    phi[j - 1] = 1.0
+    return phi
 
 
 def basis_split(j):
@@ -92,7 +103,7 @@ def class_projector(cid, part, j, dim):
     class, and on the unpaired (kernel) coordinates for the zero class.
     """
     pj, pk, _, _, pr = oc.pair_arrays(cid, dim)
-    if part.classes[j - 1].nu.is_zero:
+    if part.classes[j - 1].kernel == 0:
         return _projector(dim, np.setdiff1d(np.arange(dim), np.concatenate([pj, pk])))
     mask = sd.class_mask(part, j, pr)
     return _projector(dim, np.concatenate([pj[mask], pk[mask]]))
@@ -127,6 +138,29 @@ def segment_flow(cid, theta, phi, dim):
     start[:len(phi)] = phi
     prog = oc.SegmentProgram.from_operators([oc.truncate(cid, dim)])
     return prog.states(start, [theta])[-1]
+
+
+def gradient_check(plan, phi0, phiT, step=1e-6):
+    """Adjoint gradient vs central differences; max discrepancy relative
+    to the gradient scale."""
+    dim = 4 * plan.p
+    phi0 = np.pad(oc.normalize(phi0), (0, dim - len(phi0)))
+    phiT = np.pad(oc.normalize(phiT), (0, dim - len(phiT)))
+    prog = mp._program([seg.generator for seg in plan.segments], plan.p)
+    thetas = np.array([seg.angle for seg in plan.segments])
+
+    def f_grad(th):
+        return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
+                                       prog.coeff, prog.kind)
+
+    _, grad = f_grad(thetas)
+    fd = np.empty_like(grad)
+    for i in range(len(thetas)):
+        e = np.zeros_like(thetas)
+        e[i] = step
+        fd[i] = (f_grad(thetas + e)[0] - f_grad(thetas - e)[0]) / (2 * step)
+    scale = max(1.0, float(np.max(np.abs(grad))) if len(grad) else 0.0)
+    return float(np.max(np.abs(grad - fd)) / scale) if len(grad) else 0.0
 
 
 def synthetic_tracking_violations(n_draws, dim, n_steps, eps_hi, seed):

@@ -208,7 +208,7 @@ def test_c6_planner():
         if not plan.success:
             failures.append(f"seed {seed}: achieved {plan.achieved_error:.2e} >= 1e-3")
             continue
-        disc = mp.gradient_check(plan, phi0, phiT)
+        disc = helpers.gradient_check(plan, phi0, phiT)
         worst_grad = max(worst_grad, disc)
         if disc >= 1e-5:
             failures.append(f"seed {seed}: gradient discrepancy {disc:.2e} >= 1e-5")

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from sideband_steer import cli
-from sideband_steer import operator_core as oc
 
 
 def run(argv):
@@ -28,7 +28,7 @@ def run(argv):
 def test_parse_basis_state():
     rng = np.random.default_rng(0)
     v = cli.parse_state_spec("e5", 12, rng)
-    assert np.array_equal(v, oc.basis_state(5, 12))
+    assert np.array_equal(v, helpers.basis_state(5, 12))
 
 
 def test_parse_combination():
@@ -96,10 +96,30 @@ def test_certify_not_certified_exit(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_classes_m10(tmp_path):
+def _frequency(c, k):
+    return {"coeff": [c, 1], "kernel": k}
+
+
+def _single(k):
+    return {"members": [_frequency(1, k)], "nu": _frequency(1, k)}
+
+
+# classes_m10.json as written before the classes held integer radicands:
+# each frequency sqrt(r) = c * sqrt(kernel) is {"coeff": [c, 1], "kernel": kernel}
+CLASSES_M10 = {
+    "classes": [
+        {"members": [_frequency(0, 1)], "nu": _frequency(0, 1)},
+        {"members": [_frequency(1, 1), _frequency(2, 1)], "nu": _frequency(1, 1)},
+        {"members": [_frequency(1, 2), _frequency(2, 2)], "nu": _frequency(1, 2)},
+        _single(3), _single(5), _single(6), _single(7)],
+    "config": {"m": 10}, "count": 7, "m": 10}
+
+
+def test_classes_m10(tmp_path, capsys):
     assert run(["classes", "--m", "10", "--output-dir", str(tmp_path)]) == 0
-    blob = json.loads((tmp_path / "classes_m10.json").read_text())
-    assert blob["count"] == 7
+    path = tmp_path / "classes_m10.json"
+    assert path.read_bytes() == (json.dumps(CLASSES_M10, indent=2) + "\n").encode()
+    assert capsys.readouterr().out == f"m=10 N=7 -> {path}\n"
 
 
 def test_classes_usage(tmp_path):
@@ -288,6 +308,20 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
     (["plan", "--config", "{dir}/cfg_seed_float.json"], 2),
     (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
       "--eps", "0.05", "--config", "{dir}/cfg_s_max_float.json"], 2),
+    (["plan", "--n", "3", "--seed", "7", "--eps", "nan", "--budget", "2"], 2),
+    (["plan", "--n", "3", "--seed", "7", "--M", "nan"], 2),
+    (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "nan",
+      "--eps", "0.05"], 2),
+    (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
+      "--eps", "nan"], 2),
+    (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
+      "--eps", "inf"], 2),
+    (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
+      "--eps", "0.05", "--s-max", "-1"], 2),
+    # the scan's float offsets are exact only below 2**53
+    (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
+      "--eps", "0.05", "--s-max", str(2**53 + 1)], 2),
+    (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1", "--s-max", "-1"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
         "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
@@ -297,7 +331,10 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
         "plan-class-str", "plan-duration-str", "plan-carrier-star", "lifted-dim-sim-small",
         "lifted-sideband-duration-null",
         "config-n-float", "config-n-null", "config-n-list", "config-m-float",
-        "config-n-whole-float", "config-seed-float", "config-s-max-float"])
+        "config-n-whole-float", "config-seed-float", "config-s-max-float",
+        "plan-eps-nan", "plan-M-nan", "decouple-t-hat-nan", "decouple-eps-nan",
+        "decouple-eps-inf", "decouple-s-max-negative", "decouple-s-max-2-53",
+        "lift-s-max-negative"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))

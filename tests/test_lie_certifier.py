@@ -56,7 +56,8 @@ def test_family_validation():
 def test_trace_subtraction_recorded():
     m = 1j * np.eye(3)
     fam = lc.GeneratorFamily([m], ["i*id"])
-    assert fam.removed_traces[0] == pytest.approx(3j)
+    # the trace 3i is removed as (3i / 3) * identity, which leaves zero
+    assert np.array_equal(fam.members[0], m - (3j / 3) * np.eye(3))
     assert abs(np.trace(fam.members[0])) < 1e-14
     assert lc.lie_closure(fam).dimension == 0
 

@@ -119,7 +119,7 @@ def test_lifted_plan_json_roundtrip(tmp_path):
 
 def test_simulate_empty_lifted_plan():
     lp = ls.LiftedPlan(p=3, eps=0.1, dim_sim=16)
-    phi0 = oc.basis_state(1, 12)
+    phi0 = helpers.basis_state(1, 12)
     states, tail = ls.simulate_lifted(lp, phi0)
     final = states[-1]
     assert np.array_equal(final[:12], phi0)
@@ -220,7 +220,7 @@ def test_trajectory_rows_are_the_lifted_states(tmp_path):
     (tmp_path / "lifted.json").write_text(json.dumps(lp.to_json()))
     assert cli.main(["simulate", "--lifted", str(tmp_path / "lifted.json"),
                      "--phi0", "e1", "--output-dir", str(tmp_path)]) == 0
-    states, _ = ls.simulate_lifted(lp, oc.basis_state(1, 12))
+    states, _ = ls.simulate_lifted(lp, helpers.basis_state(1, 12))
     with open(tmp_path / "trajectory.csv") as fh:
         rows = list(csv.DictReader(fh))[:-1]
     got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])

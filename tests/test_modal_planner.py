@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from sideband_steer import _kernels
 from sideband_steer import modal_planner as mp
 from sideband_steer import operator_core as oc
@@ -40,7 +41,7 @@ def test_generator_set_sizes():
 def test_generator_operators_nonzero():
     for gid in mp.default_generator_ids(3):
         op = mp.build_generator_operator(gid, 3)
-        assert len(op.pairs) > 0
+        assert len(op.pj) > 0
         m = op.matrix
         assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
@@ -61,7 +62,7 @@ def test_generator_id_validation():
 
 
 def test_identical_states_give_empty_plan():
-    phi = oc.basis_state(3, 12)
+    phi = helpers.basis_state(3, 12)
     plan = mp.plan_transfer(phi, phi, 3, eps_plan=1e-3, seed=0)
     assert plan.segments == []
     assert plan.achieved_error == 0.0
@@ -69,8 +70,8 @@ def test_identical_states_give_empty_plan():
 
 
 def test_single_rotation_recovered_to_high_accuracy():
-    phi0 = oc.basis_state(1, 12)
-    phiT = -1j * oc.basis_state(2, 12)
+    phi0 = helpers.basis_state(1, 12)
+    phiT = -1j * helpers.basis_state(2, 12)
     plan = mp.plan_transfer(phi0, phiT, 3, eps_plan=1e-9, seed=2)
     assert plan.success
     assert plan.achieved_error < 1e-9
@@ -119,7 +120,7 @@ def test_budget_exhaustion_returns_best_effort():
 
 
 def test_rejects_bad_order():
-    phi = oc.basis_state(1, 12)
+    phi = helpers.basis_state(1, 12)
     with pytest.raises(ValueError):
         mp.plan_transfer(phi, phi, 4, eps_plan=1e-3, seed=0)  # not prime
     with pytest.raises(ValueError):
@@ -133,7 +134,7 @@ def test_rejects_bad_order():
 
 def test_simulate_empty_plan():
     plan = mp.Plan(p=3, M=1.0, seed=0, target_error=1e-3, achieved_error=0.0)
-    phi = oc.basis_state(1, 12)
+    phi = helpers.basis_state(1, 12)
     traj = mp.simulate_plan_modal(plan, phi)
     assert len(traj) == 1
     assert np.array_equal(traj[0], phi)
@@ -155,8 +156,8 @@ def test_simulate_single_segment_closed_form():
     gid = mp.GeneratorId("carrier", 1, "V")
     plan = mp.Plan(p=3, M=1.0, seed=0, target_error=1, achieved_error=0,
                    segments=[mp.PlanSegment(gid, 1.0, np.pi / 2)])
-    out = mp.simulate_plan_modal(plan, oc.basis_state(1, 12))[-1]
-    assert np.max(np.abs(out - (-1j) * oc.basis_state(2, 12))) < 1e-12
+    out = mp.simulate_plan_modal(plan, helpers.basis_state(1, 12))[-1]
+    assert np.max(np.abs(out - (-1j) * helpers.basis_state(2, 12))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +170,15 @@ def test_gradient_matches_finite_differences(seed):
     plan = random_plan(3, 10, seed)
     rng = np.random.default_rng(seed)
     phi0, phiT = oc.random_state(12, rng), oc.random_state(12, rng)
-    assert mp.gradient_check(plan, phi0, phiT) < 1e-5
+    assert helpers.gradient_check(plan, phi0, phiT) < 1e-5
 
 
 def test_gradient_discrepancy_scales_quadratically():
     plan = random_plan(3, 8, seed=12)
     rng = np.random.default_rng(12)
     phi0, phiT = oc.random_state(12, rng), oc.random_state(12, rng)
-    d1 = mp.gradient_check(plan, phi0, phiT, step=2e-3)
-    d2 = mp.gradient_check(plan, phi0, phiT, step=1e-3)
+    d1 = helpers.gradient_check(plan, phi0, phiT, step=2e-3)
+    d2 = helpers.gradient_check(plan, phi0, phiT, step=1e-3)
     assert d1 / d2 == pytest.approx(4.0, rel=0.35)
 
 

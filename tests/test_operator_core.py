@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import helpers
+from sideband_steer import _kernels
 from sideband_steer import lift_simulator as ls
 from sideband_steer import operator_core as oc
 from sideband_steer.errors import TruncationOverflowError
@@ -50,7 +51,7 @@ def test_v1_n1_by_hand():
 
 def test_v1r_n1_truncates_to_zero():
     op = oc.build_coupling("V1r", 1)
-    assert len(op.pairs) == 0
+    assert len(op.pj) == 0
     assert np.array_equal(op.matrix, np.zeros((4, 4)))
 
 
@@ -72,7 +73,7 @@ def test_sideband_truncation_spectrum(n):
 def test_skew_hermitian_and_disjoint(cid, n):
     op = oc.build_coupling(cid, n)
     assert frob(op.matrix + op.matrix.conj().T) < 1e-12
-    idx = [x for j, k, _, _ in op.pairs for x in (j, k)]
+    idx = np.concatenate([op.pj, op.pk]).tolist()
     assert len(set(idx)) == len(idx)
     # dense matrix equals the pair expansion by construction; re-expand
     re = oc.expand_pairs_dense(op.dim, op.pj, op.pk, op.coeff, op.kind)
@@ -81,9 +82,9 @@ def test_skew_hermitian_and_disjoint(cid, n):
 
 def test_sideband_pairs_link_adjacent_phonons():
     op = oc.build_coupling("V2b", 4)
-    for j, k, c, _ in op.pairs:
-        _, pj = helpers.basis_split(j)
-        _, pk = helpers.basis_split(k)
+    for j, k, c in zip(op.pj.tolist(), op.pk.tolist(), op.coeff):
+        _, pj = helpers.basis_split(j + 1)
+        _, pk = helpers.basis_split(k + 1)
         assert abs(pj - pk) == 1
         assert abs(abs(c) - np.sqrt(min(pj, pk) + 1)) < 1e-15
 
@@ -164,9 +165,9 @@ def test_segment_zero_duration():
 
 
 def test_segment_quarter_rotation():
-    phi = oc.basis_state(1, 4)
+    phi = helpers.basis_state(1, 4)
     out = helpers.segment_flow("V1", np.pi / 2, phi, 4)
-    ref = -1j * oc.basis_state(2, 4)
+    ref = -1j * helpers.basis_state(2, 4)
     assert np.max(np.abs(out - ref)) < 1e-15
 
 
@@ -195,6 +196,23 @@ def test_segment_matches_expm(rng):
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
+@pytest.mark.parametrize("kind", [0, 1], ids=["E", "F"])
+def test_rotate_pairs_block_equals_per_column_calls(kind):
+    # one kernel rotates the rows of a state or of a (dim, ncols) block alike
+    rng = np.random.default_rng(kind)
+    dim, ncols, npairs = 24, 5, 10
+    perm = rng.permutation(dim)
+    pj, pk = perm[:npairs], perm[npairs:2 * npairs]
+    betas = rng.uniform(-7, 7, size=npairs)
+    kinds = np.full(npairs, kind, dtype=np.uint8)
+    block = rng.normal(size=(dim, ncols)) + 1j * rng.normal(size=(dim, ncols))
+    cols = [block[:, c].copy() for c in range(ncols)]
+    _kernels.rotate_pairs(block, pj, pk, betas, kinds)
+    for col in cols:
+        _kernels.rotate_pairs(col, pj, pk, betas, kinds)
+    assert np.array_equal(block.view(np.int64), np.stack(cols, axis=1).view(np.int64))
+
+
 def test_carrier_block_invariance(rng):
     for cid in ("V1", "W1", "V2", "W2"):
         phi = np.zeros(16, dtype=complex)
@@ -209,7 +227,7 @@ def _one_segment(seg, dim_sim):
 
 
 def test_truncation_overflow_raises():
-    phi = oc.basis_state(10, 12)  # eg phonon 2; V1r pair (10, 13) exits dim 12
+    phi = helpers.basis_state(10, 12)  # eg phonon 2; V1r pair (10, 13) exits dim 12
     seg = ls.LiftedSegment("V1r", 1.0, 1.0, 0, s=0, t_hat=1.0, nu_kernel=1)
     with pytest.raises(TruncationOverflowError):
         ls.simulate_lifted(_one_segment(seg, 12), phi)
@@ -221,4 +239,4 @@ def test_truncation_overflow_raises():
 def test_negative_duration_rejected():
     seg = ls.LiftedSegment("V1", 1.0, -0.1, 0)
     with pytest.raises(ValueError):
-        ls.simulate_lifted(_one_segment(seg, 4), oc.basis_state(1, 4))
+        ls.simulate_lifted(_one_segment(seg, 4), helpers.basis_state(1, 4))

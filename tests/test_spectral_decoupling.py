@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -51,23 +50,6 @@ def test_squarefree_decomposition(r):
         d += 1
 
 
-@given(st.integers(0, 5000))
-def test_exact_frequency_value(r):
-    w = sd.ExactFrequency.from_radicand(r)
-    assert abs(w.value() - np.sqrt(r)) < 1e-9 * max(1, np.sqrt(r))
-    if r == 0:
-        assert w.is_zero and w.kernel == 1
-
-
-def test_exact_frequency_invariants():
-    with pytest.raises(ValueError):
-        sd.ExactFrequency(Fraction(1), 4)  # not square-free
-    with pytest.raises(ValueError):
-        sd.ExactFrequency(Fraction(0), 2)  # zero carries kernel 1
-    a = sd.ExactFrequency.from_radicand(8)
-    assert (a.coeff, a.kernel) == (2, 2)
-
-
 # ---------------------------------------------------------------------------
 # resonance partition
 # ---------------------------------------------------------------------------
@@ -96,14 +78,13 @@ def test_partition_against_oracle(m):
     part = sd.resonance_partition(m)
     oracle = _oracle_partition(m)
     assert part.count == len(oracle) + 1
-    assert part.classes[0].members == (sd.ExactFrequency.zero(),)
-    assert part.classes[0].nu.is_zero
+    assert part.classes[0] == sd.ResonanceClass(0, (0,))
     for cls in part.classes[1:]:
-        rads = [int(w.coeff) ** 2 * w.kernel for w in cls.members]
-        assert sorted(rads) == oracle[cls.nu.kernel]
-        for w in cls.members:
-            assert w.kernel == cls.nu.kernel
-            assert w.coeff.denominator == 1 and w.coeff >= 1
+        assert list(cls.radicands) == oracle[cls.kernel]
+        for r in cls.radicands:
+            # r = c^2 * kernel with an integer c >= 1
+            c = isqrt(r // cls.kernel)
+            assert c >= 1 and c * c * cls.kernel == r
 
 
 def test_partition_examples():
@@ -111,11 +92,10 @@ def test_partition_examples():
     assert p4.count == 3
     p10 = sd.resonance_partition(10)
     assert p10.count == 7
-    kernels = [c.nu.kernel for c in p10.classes[1:]]
+    kernels = [c.kernel for c in p10.classes[1:]]
     assert kernels == [1, 2, 3, 5, 6, 7]
-    # the kernel-2 class holds sqrt(2) and 2*sqrt(2)
-    two = p10.classes[2]
-    assert [float(w.coeff) for w in two.members] == [1.0, 2.0]
+    # the kernel-2 class holds sqrt(2) and sqrt(8) = 2*sqrt(2)
+    assert p10.classes[2].radicands == (2, 8)
 
 
 def test_partition_rejects_small_m():
@@ -170,7 +150,7 @@ def test_projector_axioms_and_oracle(cid, m):
         assert np.max(np.abs(pi @ pi - pi)) < 1e-12
         assert np.max(np.abs(pi - pi.conj().T)) < 1e-12
         total += pi
-        moduli = [w.value() for w in cls.members]
+        moduli = [np.sqrt(r) for r in cls.radicands]
         oracle = _eigh_projector(cid, dim, moduli)
         assert np.max(np.abs(pi - oracle)) < 1e-10
     # completeness: classes + dec + rest recompose the identity
@@ -235,7 +215,7 @@ def test_telescoping(cid, n):
 
 def test_zero_class_generator_is_zero():
     g = sd.build_decoupled_generator("V1r", 1, 5)
-    assert len(g.pairs) == 0
+    assert len(g.pj) == 0
     assert np.max(np.abs(g.matrix)) == 0
 
 

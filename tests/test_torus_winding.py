@@ -17,14 +17,14 @@ from sideband_steer.errors import SearchExhaustedError
 def brute_bound(m, ell, t_hat, s):
     """Test-local oracle for the scan objective, straight from numpy."""
     part = sd.resonance_partition(m)
-    nu = part.classes[ell - 1].nu
-    step = 2 * np.pi / (1.0 if nu.is_zero else np.sqrt(nu.kernel))
+    kernel = part.classes[ell - 1].kernel
+    step = 2 * np.pi / (1.0 if kernel == 0 else np.sqrt(kernel))
     tbar = t_hat + step * s
     tot = 0.0
     for h, cls in enumerate(part.classes, start=1):
         if h == ell:
             continue
-        vals = [2 * abs(np.sin(w.value() * tbar / 2)) for w in cls.members]
+        vals = [2 * abs(np.sin(np.sqrt(r) * tbar / 2)) for r in cls.radicands]
         tot += max(vals)
     tot += 2 * abs(np.sin(np.sqrt(m - 1) * tbar / 2))
     return tot
@@ -267,6 +267,11 @@ def scalar_flow_betas(cid, dim, s, nu_kernel, t_hat):
                      for c, r in zip(pc, pr)])
 
 
+def exact_residual(radicand, nu_kernel, s, t_hat):
+    """One residual through the package's batched exact reduction."""
+    return float(tw._exact_batch([[radicand]], nu_kernel, [s], t_hat)[2][0, 0])
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
@@ -302,9 +307,9 @@ def test_exact_residual_periodicity_of_selected_class():
     for kernel in (1, 2, 3):
         for q in (1, 2, 3):
             for s in (0, 17, 10**7 + 3, 10**12 + 7):
-                d = tw.exact_residual(q * q * kernel, kernel, s, 0.0)
+                d = exact_residual(q * q * kernel, kernel, s, 0.0)
                 assert d == 0.0
-            d = tw.exact_residual(q * q * kernel, kernel, 12345, 0.543)
+            d = exact_residual(q * q * kernel, kernel, 12345, 0.543)
             assert d == pytest.approx(
                 math.remainder(q * math.sqrt(kernel) * 0.543, 2 * math.pi), abs=1e-13)
 
@@ -313,7 +318,7 @@ def test_exact_residual_matches_float_at_small_s():
     for (r, k, s, t) in [(2, 1, 5, 1.1), (3, 2, 40, -0.7), (7, 3, 123, 2.2)]:
         ref = math.remainder(math.sqrt(r) * (t + 2 * math.pi * s / math.sqrt(k)),
                              2 * math.pi)
-        assert tw.exact_residual(r, k, s, t) == pytest.approx(ref, abs=1e-10)
+        assert exact_residual(r, k, s, t) == pytest.approx(ref, abs=1e-10)
 
 
 def test_exact_residual_guard_digits_suffice():
@@ -332,7 +337,7 @@ def test_exact_residual_guard_digits_suffice():
         k = int(rng.choice([1, 2, 3, 5, 6, 7]))
         s = int(rng.integers(0, 10**12))
         t = float(rng.uniform(-5, 5))
-        assert tw.exact_residual(r, k, s, t) == pytest.approx(
+        assert exact_residual(r, k, s, t) == pytest.approx(
             residual_hi(r, k, s, t), abs=1e-12)
 
 
@@ -344,16 +349,15 @@ def test_expbart_periodicity_operator_level():
     dim = 20
     (lj, lk, lt), lb_hat = tw.ell_class_betas("V1r", dim, part, 2, req.t_hat)
     cols_hat = np.eye(dim, dtype=complex)
-    from sideband_steer._kernels import rotate_pairs_matrix
-    rotate_pairs_matrix(cols_hat, lj, lk, lb_hat, lt)
+    _kernels.rotate_pairs(cols_hat, lj, lk, lb_hat, lt)
     # t_bar version through the exact winding reduction
     pj, pk, pc, pt, pr = oc.pair_arrays("V1r", dim)
     mask = sd.class_mask(part, 2, pr)
     betas_bar = np.array([math.copysign(1.0, c) *
-                          tw.exact_residual(int(r), res.nu_kernel, res.s, res.t_hat)
+                          exact_residual(int(r), res.nu_kernel, res.s, res.t_hat)
                           for c, r in zip(pc[mask], pr[mask])])
     cols_bar = np.eye(dim, dtype=complex)
-    rotate_pairs_matrix(cols_bar, pj[mask], pk[mask], betas_bar, pt[mask])
+    _kernels.rotate_pairs(cols_bar, pj[mask], pk[mask], betas_bar, pt[mask])
     assert np.max(np.abs(cols_bar - cols_hat)) < 1e-12
 
 
