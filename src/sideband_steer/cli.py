@@ -382,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", default="full",
-                   choices=["full", "red-only", "blue-only",
-                            "law-eberly-r", "law-eberly-b"])
+                   choices=[*oc.FAMILIES, "law-eberly-r", "law-eberly-b"])
     p.add_argument("--tol", type=_finite_float, default=lc.DEFAULT_TOL)
     p.set_defaults(func=cmd_certify)
 
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=_finite_float, default=1.0)
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--budget", type=int, default=mp.DEFAULT_BUDGET)
-        p.add_argument("--family", default="full", choices=list(mp.FAMILIES))
+        p.add_argument("--family", default="full", choices=list(oc.FAMILIES))
         p.add_argument("--phi0", default="e1")
         p.add_argument("--phiT", default="e5")
 

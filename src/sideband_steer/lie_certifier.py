@@ -10,10 +10,11 @@ projected twice against the whole stacked basis, v -= B^T (B v), and is
 accepted when the relative residual exceeds the tolerance.  Two
 singular-value passes cross-check the result: one for the orthonormality
 of the basis and one for the rank of the raw accepted candidates.
-Bracketing order is deterministic: each new basis element b_j is bracketed
-against all earlier ones, original generators first, which keeps bracket
-depth low; the brackets of round j are formed in one batched product
-M[:j] b_j - b_j M[:j] and offered to the basis one at a time, in order.
+The generators are offered first and leave k0 basis elements that span
+them.  Round j brackets b_j with the elements M[:min(j, k0)] only, in one
+batched product offered in order, so the final span is closed under
+ad_g for every generator g.  That span is the generated algebra, since
+every Lie word is a combination of left-normed brackets [g_1, [g_2, ...]].
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from . import operator_core as oc
 from .errors import InternalConsistencyError
 
 DEFAULT_TOL = 1e-9
-
-RED_FAMILY = ("V1", "W1", "V1r", "W1r", "V2", "W2", "V2r", "W2r")
-BLUE_FAMILY = ("V1", "W1", "V1b", "W1b", "V2", "W2", "V2b", "W2b")
 
 
 @dataclass
@@ -139,14 +137,15 @@ def closure_basis(family: GeneratorFamily,
         try_add(g)
     history.append((0, k))
 
+    k0 = k
     j = 1
     while j < k < target:
-        bj = mats[j]
-        for c in mats[:j] @ bj - bj @ mats[:j]:
+        bj, partners = mats[j], mats[:min(j, k0)]
+        for c in partners @ bj - bj @ partners:
             if k >= target:
                 break
             try_add(c)
-        history.append((j, k))
+        history.append((len(partners), k))
         j += 1
 
     dim = k
@@ -168,20 +167,13 @@ def closure_basis(family: GeneratorFamily,
 def resolve_family(selector) -> tuple[str, ...]:
     if isinstance(selector, (list, tuple)):
         return tuple(selector)
-    named = {"full": oc.ION_IDS, "red-only": RED_FAMILY, "blue-only": BLUE_FAMILY}
-    if selector not in named:
-        raise ValueError(f"unknown family selector {selector!r}")
-    return tuple(named[selector])
+    return oc.family_ids(selector)
 
 
 def _hypothesis_met(ids) -> bool:
     ids = set(ids)
-    for gamma in (1, 2):
-        ok = any({f"V{gamma}", f"W{gamma}", f"V{gamma}{star}", f"W{gamma}{star}"} <= ids
-                 for star in ("r", "b"))
-        if not ok:
-            return False
-    return True
+    return all(any({f"V{gamma}", f"W{gamma}", f"V{gamma}{star}", f"W{gamma}{star}"} <= ids
+                   for star in ("r", "b")) for gamma in (1, 2))
 
 
 def certify_modal(n: int, family="full", tol: float = DEFAULT_TOL) -> ClosureReport:

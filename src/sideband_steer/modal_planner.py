@@ -25,8 +25,6 @@ from . import spectral_decoupling as sd
 _PRUNE_TOL = 1e-13
 DEFAULT_BUDGET = 12_000
 
-FAMILIES = ("full", "red-only", "blue-only")
-
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
@@ -152,7 +150,7 @@ class Plan:
             x = getattr(plan, name)
             if not _is_finite(x) or x < 0:
                 raise ValueError(f"{name} must be a finite number >= 0, not {x!r}")
-        if plan.family not in FAMILIES:
+        if plan.family not in oc.FAMILIES:
             raise ValueError(f"unknown family {plan.family!r}")
         return plan
 
@@ -163,13 +161,12 @@ def default_generator_ids(p: int, family: str = "full") -> list[GeneratorId]:
     Resonance classes whose restriction is the zero operator (the class of
     frequency 0) are omitted; they generate no motion.
     """
-    if family not in FAMILIES:
+    if family not in oc.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     part = sd.resonance_partition(p + 1)
-    stars = {"full": ("r", "b"), "red-only": ("r",), "blue-only": ("b",)}[family]
     gens = [GeneratorId("carrier", g, z) for g in (1, 2) for z in ("V", "W")]
     for gamma in (1, 2):
-        for star in stars:
+        for star in oc.FAMILIES[family]:
             for part_name in ("V", "W"):
                 for j, cls in enumerate(part.classes, start=1):
                     if cls.kernel == 0:

@@ -30,6 +30,9 @@ LAW_EBERLY_IDS = ("V", "W", "Vr", "Wr", "Vb", "Wb")
 CARRIER_IDS = ("V1", "W1", "V2", "W2", "V", "W")
 ALL_IDS = ION_IDS + LAW_EBERLY_IDS
 
+# the named ion families: the sideband colours each one drives
+FAMILIES = {"full": ("r", "b"), "red-only": ("r",), "blue-only": ("b",)}
+
 # Per-phonon offset pairs and signs, fixed so that the matrices permuted to
 # internal-major order reproduce the closed-form block patterns (transcribed
 # in tests/helpers.py), which is the convention the whole toolkit is pinned
@@ -67,6 +70,13 @@ def is_carrier(cid: str) -> bool:
 
 def is_sideband(cid: str) -> bool:
     return not is_carrier(cid)
+
+
+def family_ids(name: str) -> tuple[str, ...]:
+    """The carriers and the sidebands of the family's colours, in ION_IDS order."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return tuple(i for i in ION_IDS if is_carrier(i) or i[-1] in FAMILIES[name])
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,8 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
         raise ValueError("decoupling applies to ion sideband operators only")
     if req.eps <= 0:
         raise ValueError("eps must be positive")
+    if not (math.isfinite(req.eps) and math.isfinite(req.t_hat)):
+        raise ValueError(f"eps and t_hat must be finite, not {req.eps} and {req.t_hat}")
     if not 0 <= req.s_max < 2**53:
         raise ValueError(f"s_max must lie in [0, 2**53), not {req.s_max}")
     if req.m < 2:

@@ -144,7 +144,7 @@ def test_report_json():
     rep = lc.certify_modal(3, "red-only")
     blob = rep.to_json()
     assert blob["dimension"] == 143 and blob["certified"]
-    assert blob["family"] == list(lc.RED_FAMILY)
+    assert blob["family"] == list(oc.family_ids("red-only"))
     assert blob["n"] == 3
 
 
@@ -175,15 +175,21 @@ def test_closure_invariant_under_rescaling():
 
 
 def test_closure_is_closed_under_brackets():
-    fam = lc.GeneratorFamily.from_couplings(["V", "W", "Vr", "Wr"], 3)
-    rep, basis = lc.closure_basis(fam)
-    tol = rep.tolerance
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            c = basis[i] @ basis[j] - basis[j] @ basis[i]
-            if np.linalg.norm(c) < 1e-12:
-                continue
-            assert project_residual(c, basis) < 10 * tol
+    # su(6), then two proper subalgebras, where closure under every bracket
+    # is not automatic: sp(2) inside su(4), and the carriers of one ion
+    for ids, n, dim in ((("V", "W", "Vr", "Wr"), 3, 35),
+                        (("V", "W", "Vr", "Wr"), 2, 10),
+                        (("V1", "W1"), 3, 3)):
+        fam = lc.GeneratorFamily.from_couplings(ids, n)
+        rep, basis = lc.closure_basis(fam)
+        assert rep.dimension == dim
+        tol = rep.tolerance
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                c = basis[i] @ basis[j] - basis[j] @ basis[i]
+                if np.linalg.norm(c) < 1e-12:
+                    continue
+                assert project_residual(c, basis) < 10 * tol
 
 
 def test_rank_history_monotone():
@@ -209,8 +215,10 @@ def test_modal_full_family_n5():
 def closure_oracle(family, tol=lc.DEFAULT_TOL):
     """Per-vector modified Gram-Schmidt, run twice, one basis vector at a time.
 
-    Same bracket order, acceptance rule and early stop as the closure; also
-    returns the residual of every accepted and every rejected candidate.
+    Same bracket schedule, acceptance rule and early stop as the closure:
+    round j brackets element j with the first min(j, k0) elements, where the
+    first k0 span the generators.  Also returns the residual of every accepted and every
+    rejected candidate.
     """
     d = family.dim
     target = d * d - 1
@@ -236,13 +244,14 @@ def closure_oracle(family, tol=lc.DEFAULT_TOL):
     for g in family.members:
         try_add(g)
     history.append((0, len(mats)))
+    k0 = len(mats)
     j = 1
     while j < len(mats) and len(mats) < target:
-        for i in range(j):
+        for i in range(min(j, k0)):
             if len(mats) >= target:
                 break
             try_add(mats[i] @ mats[j] - mats[j] @ mats[i])
-        history.append((j, len(mats)))
+        history.append((min(j, k0), len(mats)))
         j += 1
     return history, mats, accepted, rejected
 
@@ -266,14 +275,21 @@ def _oracle_family(name):
     return lc.GeneratorFamily([s * m for s, m in zip(scales, base.members)], ids)
 
 
-@pytest.mark.parametrize("name", [
-    "modal:full", "modal:red-only", "modal:blue-only",
-    *[f"law-eberly:{n}{star}" for n in (2, 3, 4, 5) for star in "rb"],
-    "haar", "rescaled"])
+# the expected dimension of each oracle family, written out so that the
+# closure and its oracle cannot drift together
+_ORACLE_DIMS = {
+    "modal:full": 143, "modal:red-only": 143, "modal:blue-only": 143,
+    **{f"law-eberly:{n}{star}": dim for n, dim in ((2, 10), (3, 35), (4, 63), (5, 99))
+       for star in "rb"},
+    "haar": 35, "rescaled": 35}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_DIMS))
 def test_closure_matches_per_vector_oracle(name):
     fam = _oracle_family(name)
     rep, basis = lc.closure_basis(fam)
     history, mats, accepted, rejected = closure_oracle(fam)
+    assert rep.dimension == _ORACLE_DIMS[name]
     assert rep.dimension == len(mats)
     assert rep.basis_rank_history == history
     assert max(np.max(np.abs(a - b)) for a, b in zip(basis, mats)) < 1e-10

@@ -210,7 +210,7 @@ def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
 def _objective_programs():
     out = []
     for p in (3, 5, 7):
-        for family in mp.FAMILIES:
+        for family in oc.FAMILIES:
             gens = mp.default_generator_ids(p, family)
             for cycles in (1, 3):
                 out.append(pytest.param(p, gens, cycles, id=f"p{p}-{family}-x{cycles}"))

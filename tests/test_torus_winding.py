@@ -179,6 +179,16 @@ def test_bad_class_index_rejected():
         tw.find_decoupling_time(req)
 
 
+@pytest.mark.parametrize("t_hat, eps", [(1.0, math.nan), (math.nan, 0.05),
+                                         (1.0, math.inf), (math.inf, 0.05)])
+def test_non_finite_request_rejected(t_hat, eps):
+    # every comparison with nan is false, so a nan slips past each bound
+    # test of the search, and an infinite eps would accept any s
+    req = tw.DecouplingRequest(id="V1r", m=4, ell=2, t_hat=t_hat, eps=eps, s_max=1000)
+    with pytest.raises(ValueError, match="finite"):
+        tw.find_decoupling_time(req)
+
+
 def test_search_exhausted_carries_best():
     req = tw.DecouplingRequest(id="V1r", m=4, ell=2, t_hat=1.3, eps=1e-6, s_max=50)
     with pytest.raises(SearchExhaustedError) as exc:
