@@ -279,17 +279,18 @@ def cmd_lift(args) -> int:
 
 def _write_trajectory(path: Path, lp: ls.LiftedPlan, states: np.ndarray,
                       final_error: float | None) -> None:
+    # the bytes of csv.writer's default dialect: no field needs quoting
+    lines = ["segment_index,time_accumulated,basis_index,re,im\r\n"]
     t = 0.0
+    for i, (seg, phi) in enumerate(zip(lp.segments, states[1:])):
+        t += seg.duration
+        head = f"{i},{t:.12g},"
+        lines += [f"{head}{j},{a.real:.17g},{a.imag:.17g}\r\n"
+                  for j, a in enumerate(phi[:lp.dim_sim].tolist(), start=1)]
+    fe = "" if final_error is None else f"{final_error:.17g}"
+    lines.append(f"final_error,{t:.12g},,{fe},\r\n")
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["segment_index", "time_accumulated", "basis_index", "re", "im"])
-        for i, (seg, phi) in enumerate(zip(lp.segments, states[1:])):
-            t += seg.duration
-            for j in range(lp.dim_sim):
-                wr.writerow([i, f"{t:.12g}", j + 1,
-                             f"{phi[j].real:.17g}", f"{phi[j].imag:.17g}"])
-        wr.writerow(["final_error", f"{t:.12g}", "",
-                     "" if final_error is None else f"{final_error:.17g}", ""])
+        fh.write("".join(lines))
 
 
 def cmd_simulate(args) -> int:

@@ -12,7 +12,6 @@ detector, not a truncation estimate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,6 +166,10 @@ def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
     lifted_side = {}
     if n_side:
         if jobs > 1:
+            # imported here: concurrent.futures (and logging) would add ~5 ms to
+            # every start-up, and only --jobs > 1 needs them
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 for i, lifted in zip(side_idx, pool.map(lift_one, side_idx)):
                     lifted_side[i] = lifted

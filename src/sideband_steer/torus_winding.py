@@ -8,18 +8,18 @@ the certified bound never depends on float argument reduction at huge
 t_bar.  The same fixed-point reduction supplies exact rotation angles to
 the lifted simulator.
 
-A search costs in proportion to the index it ends at, not to a fixed
-window.  It scans s upward in windows of _CHUNK_FIRST steps that double up
-to _CHUNK_MAX, so a hit at s=374 scans a few thousand steps, not a million.  Within a window the
-kernel (``_kernels.scan_decoupling``) evaluates a class term only where the
-float sum so far is below max(eps, best bound so far): a float sum of
-nonnegative terms never drops below a partial sum, so the pruned s can be
-neither a hit nor a strictly better bound, and the survivors' sums are
-accumulated in the same order as a full evaluation.  Before any sin, each
-frequency screens the window by the distance of w*t_bar/(2*pi) to an
-integer, with a margin of a few ulps of its largest value in the window.
-Hits, exhausted best indices and best bounds are therefore bit for bit those
-of evaluating every class at every s.
+A search costs in proportion to the indices that could qualify, not to
+the index it ends at.  It works upward through windows of s that start at
+_CHUNK_FIRST indices and double, with no cap, so a search to s_max = 1e12
+takes about 28 windows.  Within a window the kernel
+(``_kernels.scan_decoupling``) enumerates only the s whose fractional parts
+s*alpha_j + beta_j lie close enough to the integers that the float sum
+could fall below max(eps, best bound so far), as lattice points on an
+LLL-reduced basis, and evaluates the float sum on those alone, class by
+class and in class order.  Hits, exhausted best indices and best bounds
+are therefore bit for bit those of evaluating every class at every s.  A
+candidate that fails the fixed-point check resumes the same window, so the
+scan slack stays that of the window's top.
 
 One batched evaluation (``_exact_batch``) does all the exact arithmetic:
 the search's acceptance check and exhausted report, the ``bound_profile``
@@ -33,28 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import _SQRT_DIGITS, _sqrt_fixed
 from . import operator_core as oc
 from . import spectral_decoupling as sd
 from .errors import InternalConsistencyError, SearchExhaustedError
 
 DEFAULT_S_MAX = 10**7
-# scan windows: the first is small and each next one doubles, up to the cap
+# scan windows: the first is small and each next one doubles
 _CHUNK_FIRST = 4096
-_CHUNK_MAX = 1_000_000
-_SQRT_DIGITS = 44
 TWO_PI = 2.0 * math.pi
-
-
-@lru_cache(maxsize=None)
-def _sqrt_fixed(n: int) -> int:
-    """floor(sqrt(n) * 10**_SQRT_DIGITS) as an exact integer."""
-    return isqrt(n * 10 ** (2 * _SQRT_DIGITS))
 
 
 def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
@@ -180,13 +171,16 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
                 nu_kernel=nu_kernel)
         return None
 
-    chunk = _CHUNK_FIRST
     best_s, best_bound = -1, math.inf
-    s_next = 0
+    # window [s_next, s_hi): the first holds _CHUNK_FIRST indices and each
+    # next one twice as many; a rejected candidate resumes the same window
+    chunk = _CHUNK_FIRST
+    s_next, s_hi = 0, min(chunk, req.s_max + 1)
     while s_next <= req.s_max:
-        s_hi = min(s_next + chunk, req.s_max + 1)
-        chunk = min(2 * chunk, _CHUNK_MAX)
-        # slack covers float64 argument-reduction drift at the chunk's top
+        if s_next == s_hi:
+            chunk *= 2
+            s_hi = min(s_hi + chunk, req.s_max + 1)
+        # slack covers float64 argument-reduction drift at the window's top
         theta_max = max_w * (abs(req.t_hat) + step * s_hi)
         eps_scan = req.eps + 4e-15 * theta_max * max(1, nterms) + 1e-13
         cand, best_s, best_bound = _kernels.scan_decoupling(

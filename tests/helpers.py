@@ -7,11 +7,14 @@ decomposition U = sum_j U_j + U_dec + U_rho with its class projectors is
 what C3 checks; it routes pairs through the package's own class rule,
 ``spectral_decoupling.class_mask``.  ``segment_flow`` is one segment of the
 runtime ``SegmentProgram`` path that both simulators use,
-``basis_split`` inverts the runtime ``operator_core.basis_index``, and
+``basis_split`` inverts the runtime ``operator_core.basis_index``,
 ``gradient_check`` compares the planner's adjoint gradient with central
-differences.
+differences, and ``block_scan`` is the decoupling scan that tests every
+winding index, with the per-frequency screen the kernel used before it
+enumerated the survivors.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -194,3 +197,82 @@ def synthetic_tracking_violations(n_draws, dim, n_steps, eps_hi, seed):
             if np.linalg.norm(x - xt) >= total:
                 violations += 1
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the per-index decoupling scan: every s of the window, in cache-sized blocks
+# ---------------------------------------------------------------------------
+
+_SCREEN_ULPS = 8.0
+_EPS64 = float(np.finfo(np.float64).eps)
+_BLOCK = 1 << 15
+
+
+def block_scan(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
+    """``_kernels.scan_decoupling``'s contract, testing every s in [s0, s1).
+
+    With thr = max(eps, best_bound), a thr < 2 screens each nonzero
+    frequency without a sin: 2|sin(x)| < thr needs y = (w/pi)*half within
+    asin(thr/2)/pi of an integer, up to a margin of a few ulps of the
+    block's largest |y| and of 1, and a relative 2^-40 on thr/2.  The class
+    terms are then added in class order where the running sum is below thr.
+    A block's best tightens thr for the later blocks.
+    """
+    classes = [(lo, hi) for lo, hi in zip(cls_ptr[:-1], cls_ptr[1:]) if np.any(w[lo:hi])]
+    w_pi = w[w != 0.0] / np.pi
+    work = np.empty((4, min(_BLOCK, s1 - s0)))
+    work[0] = np.arange(work.shape[1])
+    cand = -1
+    for b0 in range(s0, s1, _BLOCK):
+        hit, best_s, best_bound = _scan_block(t_hat, step, w, classes, w_pi, eps, b0,
+                                              min(b0 + _BLOCK, s1), best_s, best_bound,
+                                              work)
+        if cand < 0:
+            cand = hit
+    return cand, best_s, best_bound
+
+
+def _scan_block(t_hat, step, w, classes, w_pi, eps, s0, s1, best_s, best_bound, work):
+    offsets, half, y, r = work[:, :s1 - s0]
+    np.add(offsets, float(s0), out=half)  # exact: s < 2**53
+    half *= step
+    half += t_hat
+    half *= 0.5  # 0.5 * (t_hat + step * s), rounded the same way
+    thr = max(eps, best_bound)
+    idx = None  # survivors as positions in the block; None means all
+    if thr < 2.0:
+        a = math.asin(min(1.0, 0.5 * thr * (1.0 + 2.0**-40))) / math.pi
+        hmax = max(abs(float(half[0])), abs(float(half[-1])))
+        for wj in w_pi:
+            tol = a + _SCREEN_ULPS * _EPS64 * (abs(float(wj)) * hmax + 1.0)
+            if idx is None:
+                np.multiply(half, wj, out=y)
+                np.rint(y, out=r)
+                y -= r
+                idx = np.flatnonzero(np.abs(y, out=y) < tol)
+            else:
+                z = wj * half[idx]
+                z -= np.rint(z)
+                idx = idx[np.abs(z, out=z) < tol]
+    if idx is None:
+        idx = np.arange(len(half))
+    h = half[idx]
+    tot = np.zeros_like(h)
+    for lo, hi in classes:
+        if hi - lo == 1:
+            m = np.abs(np.sin(w[lo] * h))
+        else:
+            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], h))).max(axis=0)
+        tot += 2.0 * m
+        keep = tot < thr
+        if not keep.all():
+            idx, h, tot = idx[keep], h[keep], tot[keep]
+    if len(tot) == 0:
+        return -1, best_s, best_bound
+    i = int(np.argmin(tot))
+    if tot[i] < best_bound:
+        best_bound = float(tot[i])
+        best_s = s0 + int(idx[i])
+    hits = np.flatnonzero(tot < eps)
+    cand = int(s0 + idx[hits[0]]) if hits.size else -1
+    return cand, best_s, best_bound

@@ -110,6 +110,20 @@ def test_smallest_s_matches_brute_force(m, ell, t_hat, eps):
     assert sum(res.per_class_error) == pytest.approx(res.bound)
 
 
+def test_rejected_candidate_on_a_window_edge(monkeypatch):
+    # with eps equal to the exact bound at s=20, the float scan offers s=20
+    # and the fixed-point check refuses it; when s=20 ends a window, the
+    # search must go on into the next one
+    eps = float(tw.bound_profile(3, 2, np.pi, [20])[0])
+    prof = tw.bound_profile(3, 2, np.pi, np.arange(2000))
+    want = int(np.flatnonzero(prof < eps)[0])
+    assert want > 20
+    monkeypatch.setattr(tw, "_CHUNK_FIRST", 21)
+    res = tw.find_decoupling_time(
+        tw.DecouplingRequest(id="V1r", m=3, ell=2, t_hat=np.pi, eps=eps, s_max=2000))
+    assert res.s == want
+
+
 def test_monotone_budget():
     prev_s = None
     for eps in (0.4, 0.2, 0.1, 0.05, 0.025):
@@ -153,6 +167,112 @@ def test_scan_kernel_matches_full_evaluation(seed, s_base):
             want = full_scan(*args)
             assert got == want
             assert type(got[0]) is int and type(got[1]) is int
+
+
+def _assert_scan_matches(args, oracle=full_scan):
+    got = _kernels.scan_decoupling(*args)
+    assert got == oracle(*args)
+    assert type(got[0]) is int and type(got[1]) is int
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scan_kernel_matches_full_evaluation_in_the_exhausted_regime(seed):
+    # m=8 windows of 1e5-1e6 steps at the thresholds of exhausted searches:
+    # the survivors are enumerated, with every class in play, far from s=0
+    # too; the last threshold puts the window's least bound on the edge
+    rng = np.random.default_rng([seed, 8])
+    for s_base in (10**5, 10**9, 10**12):
+        ell = int(rng.integers(2, sd.resonance_partition(8).count + 1))
+        members, nu_kernel = tw._torus_data(8, ell)
+        w, cls_ptr = _scan_arrays(members)
+        step = 2 * np.pi / np.sqrt(nu_kernel)
+        t_hat = float(rng.uniform(-5, 5))
+        s0 = s_base + int(rng.integers(0, 10**5))
+        s1 = s0 + int(10 ** rng.uniform(5, 6))
+        tot = full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1)
+        tight = float(np.nextafter(tot.min(), math.inf))
+        for eps, best_bound in ((float(rng.uniform(0.2, 0.7)), math.inf),
+                                (0.01, float(rng.uniform(0.2, 0.7))),
+                                (tight, tight)):
+            best_s = -1 if best_bound == math.inf else 7
+            _assert_scan_matches((t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound))
+
+
+def test_scan_kernel_evaluates_everything_at_thresholds_of_two():
+    # a class term 2|sin| below thr >= 2 constrains nothing, so every index
+    # of the window is evaluated, over several blocks
+    members, nu_kernel = tw._torus_data(8, 2)
+    w, cls_ptr = _scan_arrays(members)
+    step = 2 * np.pi / np.sqrt(nu_kernel)
+    for eps, best_bound in ((2.0, math.inf), (0.05, 2.0), (2.5, 3.0)):
+        _assert_scan_matches((0.7, step, w, cls_ptr, eps, 10**9, 10**9 + 70000, 3, best_bound))
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_scan_kernel_matches_full_evaluation_for_the_zero_class(m):
+    # selecting the zero class makes alpha = 1 for the integer-frequency
+    # class: its term is the same at every s, and only the distance of
+    # t_hat/(2*pi) to an integer decides whether anything survives
+    members, nu_kernel = tw._torus_data(m, 1)
+    assert nu_kernel == 1
+    w, cls_ptr = _scan_arrays(members)
+    step = 2 * np.pi
+    for t_hat in (0.0, 0.01, 2 * np.pi - 0.02, -4 * np.pi + 0.05, 1.0, np.pi / 2):
+        tot = full_scan_bounds(t_hat, step, w, cls_ptr, 1000, 200000)
+        for eps, best_bound in ((0.3, math.inf), (0.1, 0.6),
+                                (float(np.nextafter(tot.min(), math.inf)), 1.5)):
+            _assert_scan_matches((t_hat, step, w, cls_ptr, eps, 1000, 200000, 5, best_bound))
+
+
+# The 19 reference requests (perfbench/winding_reference.json, acceptance C4)
+# that exhaust s_max = 1e7, in file order, with the best index and exact
+# bound that the per-index scan reported for each.  Every best bound leads
+# the next best by at least 8e-4, so no float tie decides them.
+EXHAUSTED_REFERENCE = [
+    ("W1r", 6, 4, 0.4512197403433369, 0.01, 7804193, "0x1.27ce2182741fcp-5"),
+    ("V2b", 8, 3, -4.2473427961872945, 0.01, 5792689, "0x1.1d110b5a06c65p-2"),
+    ("W1b", 6, 4, -1.8220451088116754, 0.01, 5595621, "0x1.37bd342b6f64cp-5"),
+    ("W2b", 8, 6, -2.009192211723577, 0.1, 5000906, "0x1.86850ce56491bp-2"),
+    ("W2r", 8, 6, 2.9977454544335957, 0.01, 16746, "0x1.d6244aa3e883dp-2"),
+    ("V2r", 8, 4, 4.002102372246689, 0.01, 3423380, "0x1.9eda593fc9331p-2"),
+    ("V1r", 6, 3, -4.759202886669457, 0.01, 204362, "0x1.6a722dc71c6fap-6"),
+    ("V1r", 8, 5, -0.21328441424219324, 0.1, 8871204, "0x1.88adc0f8a4b64p-2"),
+    ("W1b", 6, 4, 4.158415943803655, 0.01, 4584481, "0x1.345ca340412dap-5"),
+    ("W2r", 6, 2, -3.455206253991908, 0.01, 8305418, "0x1.0eaea9704d9c1p-6"),
+    ("V2b", 8, 6, 4.251930400420683, 0.1, 4807896, "0x1.46f6e1928933ep-2"),
+    ("W1b", 8, 6, -0.8584904569050078, 0.1, 5258827, "0x1.e1e76b9362992p-3"),
+    ("V2r", 8, 6, -1.690254621258902, 0.01, 8498133, "0x1.a77c155c864b4p-2"),
+    ("W1b", 8, 2, -0.05728999194368445, 0.1, 7081096, "0x1.6965684013ae4p-2"),
+    ("W2b", 8, 3, 4.5444350943536165, 0.01, 1190945, "0x1.052f775ccbb36p-1"),
+    ("W1b", 8, 3, -4.051866933763439, 0.1, 5557320, "0x1.41347bda24051p-1"),
+    ("V1b", 6, 4, 2.1941972314690696, 0.01, 5428283, "0x1.e68763106ff6fp-6"),
+    ("W2r", 8, 5, -2.835983106170005, 0.1, 1, "0x1.113b917f0b168p-2"),
+    ("V1b", 8, 4, -3.8996396810252296, 0.01, 1003993, "0x1.3d604ad5fabebp-2"),
+]
+
+
+@pytest.mark.parametrize("op,m,ell,t_hat,eps,best_s,best_bound", EXHAUSTED_REFERENCE)
+def test_exhausted_reference_request_keeps_its_best(op, m, ell, t_hat, eps, best_s,
+                                                    best_bound):
+    req = tw.DecouplingRequest(id=op, m=m, ell=ell, t_hat=t_hat, eps=eps, s_max=10**7)
+    with pytest.raises(SearchExhaustedError) as exc:
+        tw.find_decoupling_time(req)
+    assert (exc.value.best_s, exc.value.best_bound) == (best_s, float.fromhex(best_bound))
+    # one kernel call over the whole range finds what the per-index scan finds
+    members, nu_kernel = tw._torus_data(m, ell)
+    w, cls_ptr = _scan_arrays(members)
+    args = (t_hat, 2 * np.pi / np.sqrt(nu_kernel), w, cls_ptr, eps, 0, 10**7 + 1, -1, math.inf)
+    _assert_scan_matches(args, oracle=helpers.block_scan)
+    assert _kernels.scan_decoupling(*args)[1] == best_s
+
+
+def test_order6_hit_far_out():
+    # the first index below eps lies past 5e8; the per-index scan found the
+    # same one
+    req = tw.DecouplingRequest(id="V1r", m=6, ell=2, t_hat=1.0, eps=7.5e-3, s_max=10**9)
+    res = tw.find_decoupling_time(req)
+    assert res.s == 545347336
+    assert res.bound == float.fromhex("0x1.fb6c49061fc64p-9")
 
 
 # ---------------------------------------------------------------------------
