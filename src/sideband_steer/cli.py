@@ -58,7 +58,10 @@ def parse_state_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarra
     if spec == "random":
         return oc.random_state(dim, rng)
     v = np.zeros(dim, dtype=np.complex128)
-    terms = re.findall(r"[+-]?[^+-]+", spec.replace(" ", ""))
+    compact = spec.replace(" ", "")
+    terms = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(terms) != compact:
+        raise ValueError(f"dangling or doubled sign in state spec {spec!r}")
     for term in terms:
         mt = _TERM_RE.match(term)
         if not mt:
@@ -175,9 +178,9 @@ def cmd_certify(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args)
     if args.family.startswith("law-eberly"):
-        rep = lc.certify_law_eberly(args.n, args.family[-1], args.tol)
+        rep = lc.certify_law_eberly(args.n, args.family[-1])
     else:
-        rep = lc.certify_modal(args.n, args.family, args.tol)
+        rep = lc.certify_modal(args.n, args.family)
     path = outdir / f"certify_{args.family}_n{args.n}.json"
     _write_json(path, rep.to_json(), config)
     print(f"family={args.family} n={args.n} dimension={rep.dimension} "
@@ -384,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", default="full",
                    choices=[*oc.FAMILIES, "law-eberly-r", "law-eberly-b"])
-    p.add_argument("--tol", type=_finite_float, default=lc.DEFAULT_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("classes", help="resonance classes at order m")

@@ -1,69 +1,45 @@
 """Lie closures of generator families and controllability rank certificates.
 
-The closure works over the real vector space of traceless skew-Hermitian
-matrices (dimension d^2 - 1), with the inner product Re tr(A^dag B).
-The orthonormal basis is one preallocated (d^2 - 1, d, d) complex array,
-read also as a (d^2 - 1, 2 d^2) real array B of stacked basis vectors.
-Rank detection is classical Gram-Schmidt with one reorthogonalization
-(CGS2, "twice is enough"): a Frobenius-normalized candidate v is
-projected twice against the whole stacked basis, v -= B^T (B v), and is
-accepted when the relative residual exceeds the tolerance.  Two
-singular-value passes cross-check the result: one for the orthonormality
-of the basis and one for the rank of the raw accepted candidates.
-The generators are offered first and leave k0 basis elements that span
-them.  Round j brackets b_j with the elements M[:min(j, k0)] only, in one
-batched product offered in order, so the final span is closed under
-ad_g for every generator g.  That span is the generated algebra, since
-every Lie word is a combination of left-normed brackets [g_1, [g_2, ...]].
+The closure is exact: it runs over the prime field F_q.  Every generator
+entry lies in the ring Z[i, sqrt 2, sqrt 3, ...]: an E pair of radicand r
+and coefficient sign s carries i*s*sqrt(r) at (j, k) and (k, j), an F pair
+-s*sqrt(r) at (k, j) and s*sqrt(r) at (j, k).  Sending i and each sqrt(p)
+to a square root mod q, and so sqrt(c^2 k) to c times the roots of the
+primes of the square-free k, is a ring map into F_q that commutes with
+brackets.  The accepted words are images of Lie words.  If their rank
+mod q is d^2 - 1, some minor of them is nonzero in the ring, so they are
+independent over C and, being skew-Hermitian, over R: they span su(d).
+A smaller rank is a lower bound, so a certificate is never false.
+
+Every entry is kept in [0, q), so every sum of products (a bracket, or a
+reduction against at most d^2 - 1 rows) stays below d^2 (q-1)^2.  A
+dimension is accepted only when that is below 2^53, where float64 GEMMs
+are exact, and each product is reduced mod q afterwards (delayed
+reduction, as in FFLAS-FFPACK).
+
+The generators are offered first and leave k0 words.  Round j brackets
+word j with the words [:min(j, k0)] only, in one batched product offered
+in order, so the final span is closed under ad_g for every generator g.
+That span is the generated algebra, since every Lie word is a combination
+of left-normed brackets [g_1, [g_2, ...]].  A candidate is reduced
+against one fully reduced echelon form and accepted when it is nonzero.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import operator_core as oc
-from .errors import InternalConsistencyError
+from . import spectral_decoupling as sd
 
-DEFAULT_TOL = 1e-9
-
-
-@dataclass
-class GeneratorFamily:
-    """Skew-Hermitian generators on one dimension, made traceless."""
-
-    members: list[np.ndarray]
-    labels: list[str]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("family must be nonempty")
-        if len(self.labels) != len(self.members):
-            raise ValueError("labels and members must align")
-        d = self.members[0].shape[0]
-        cleaned = []
-        for lab, m in zip(self.labels, self.members):
-            m = np.asarray(m, dtype=np.complex128)
-            if m.shape != (d, d):
-                raise ValueError("all members must share one dimension")
-            if np.linalg.norm(m + m.conj().T) > 1e-12 * max(1.0, np.linalg.norm(m)):
-                raise ValueError(f"member {lab} is not skew-Hermitian")
-            tr = np.trace(m)
-            if abs(tr) > 0:
-                m = m - (tr / d) * np.eye(d)
-            cleaned.append(m)
-        self.members = cleaned
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].shape[0]
-
-    @classmethod
-    def from_couplings(cls, ids, n: int) -> "GeneratorFamily":
-        mats = [oc.build_coupling(cid, n).matrix for cid in ids]
-        return cls(mats, list(ids))
+# q is the least suitable prime above _Q_FLOOR; float64 integer sums are exact below _EXACT
+_Q_FLOOR = 2**20
+_EXACT = 2**53
 
 
 @dataclass
@@ -72,96 +48,136 @@ class ClosureReport:
     target: int
     certified: bool
     basis_rank_history: list[tuple[int, int]]
-    tolerance: float
+    q: int
     n: int | None = None
     labels: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {"n": self.n, "family": list(self.labels),
                 "dimension": self.dimension, "target": self.target,
-                "certified": self.certified, "tolerance": self.tolerance}
+                "certified": self.certified, "q": self.q}
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    """Real coordinates of a complex matrix, re and im interleaved.
+def _sqrt_mod(a: int, q: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime q (Tonelli-Shanks)."""
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s t with t odd
+    t = (q - 1) >> s
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    m, c, x, b = s, pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:
+        i = next(i for i in range(1, m) if pow(b, 1 << i, q) == 1)
+        f = pow(c, 1 << (m - i - 1), q)
+        m, c, x, b = i, f * f % q, x * f % q, b * f * f % q
+    return x
 
-    The dot product of two such vectors is Re tr(A^dag B).
+
+@lru_cache(maxsize=None)
+def _field(d: int, n: int) -> tuple[int, int, np.ndarray]:
+    """(q, sqrt(-1) mod q, table of sqrt(r) mod q for r = 0..n).
+
+    Every radicand of an n-truncation is at most n.  q is the least prime
+    above 2^20 with q = 1 (mod 4) in which every prime up to n is a
+    square, and it must keep d exact: d^2 (q-1)^2 < 2^53.
     """
-    return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(-1)
+    if d * d * _Q_FLOOR**2 >= _EXACT:
+        raise ValueError(f"dimension {d} is too large for an exact certificate: "
+                         "d^2 (q-1)^2 must stay below 2^53 for a prime q > 2^20")
+    primes = [p for p in range(2, n + 1) if sd.is_prime(p)]
+    q = _Q_FLOOR + 1  # = 1 (mod 4), and so is every later candidate
+    while d * d * (q - 1) ** 2 < _EXACT:
+        if all(pow(p, (q - 1) // 2, q) == 1 for p in primes) and sd.is_prime(q):
+            break
+        q += 4
+    else:
+        raise ValueError(f"no exact certificate at dimension {d}: no prime q > 2^20 "
+                         f"with d^2 (q-1)^2 < 2^53 has square roots of -1 and of "
+                         f"every prime up to {n}")
+    root = {p: _sqrt_mod(p, q) for p in primes}
+    table = [0]
+    for r in range(1, n + 1):
+        c, k = sd.squarefree_decompose(r)
+        table.append(c * math.prod(root[p] for p in primes if k % p == 0) % q)
+    return q, _sqrt_mod(q - 1, q), np.array(table, dtype=np.float64)
 
 
-def lie_closure(family: GeneratorFamily, tol: float = DEFAULT_TOL) -> ClosureReport:
-    """Dimension of the real Lie algebra generated by the family.
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """Reduce integer-valued float64 x with |x| <= 2^53 - q into [0, q), in place.
 
-    Deterministic given input order; stops early once the su(d) dimension
-    d^2 - 1 is reached, since the closure cannot grow past it.
+    x / q is rounded with relative error below 2^-53, so by less than 1/q,
+    while a non-integer x / q lies at least 1/q from every integer: its
+    floor is exact, and no fix-up is needed.  The closure's sums stay
+    inside that range.
     """
-    report, _ = closure_basis(family, tol)
-    return report
+    x -= np.floor(x / q) * q
+    return x
 
 
-def closure_basis(family: GeneratorFamily,
-                  tol: float = DEFAULT_TOL) -> tuple[ClosureReport, list[np.ndarray]]:
-    """Like :func:`lie_closure` but also returns the orthonormal basis."""
-    if not 0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-    d = family.dim
-    target = d * d - 1
-    # one storage: mats[k] is the k-th basis matrix and basis[k] the same
-    # numbers read as a real vector, so a row written to basis is in mats
-    mats = np.zeros((target, d, d), dtype=np.complex128)
-    basis = mats.view(np.float64).reshape(target, 2 * d * d)
-    raw_accepted = np.zeros_like(basis)
+def lie_closure(ids, n: int) -> tuple[ClosureReport, np.ndarray]:
+    """Dimension of the real Lie algebra generated by the truncated couplings.
+
+    Returns the report and the accepted words mod q, one (d, d) matrix
+    each, in acceptance order.  Deterministic given the order of ``ids``;
+    stops early once the su(d) dimension d^2 - 1 is reached, since the
+    closure cannot grow past it.
+    """
+    dims = {4 * n if oc.is_ion(cid) else 2 * n for cid in ids}
+    if len(dims) != 1:
+        raise ValueError("all generators must share one dimension")
+    d = dims.pop()
+    q, i_q, sqrt_r = _field(d, n)  # refuses a large d before any work
+    dd, target = d * d, d * d - 1
+    words = np.zeros((target, d, d))
+    ech = np.zeros((target, dd))  # fully reduced: ech[:, piv] is the identity
+    piv = np.zeros(target, dtype=np.int64)
     history: list[tuple[int, int]] = []
     k = 0
 
-    def try_add(m: np.ndarray) -> None:
+    def offer(raw: np.ndarray) -> None:
+        """Offer candidate words in order.  Rows accepted here reduce the
+        later candidates, then join the echelon form fully reduced."""
         nonlocal k
-        nrm = np.linalg.norm(m)
-        if nrm < 1e-13:
-            return
-        u = _vec(m / nrm)
-        bk = basis[:k]
-        v = u - bk.T @ (bk @ u)
-        v -= bk.T @ (bk @ v)  # twice-is-enough reorthogonalization
-        rn = np.linalg.norm(v)
-        if rn <= tol:
-            return
-        raw_accepted[k] = u
-        basis[k] = v / rn
-        k += 1
+        start = k
+        flat = raw.reshape(len(raw), dd)
+        cand = _mod(flat - flat[:, piv[:k]] @ ech[:k], q)
+        for t in np.flatnonzero(cand.any(axis=1)):  # a zero candidate stays zero
+            if k >= target:
+                break
+            c = cand[t]
+            c -= c[piv[start:k]] @ ech[start:k]
+            nz = np.flatnonzero(_mod(c, q))
+            if nz.size == 0:
+                continue
+            row = _mod(c * pow(int(c[nz[0]]), -1, q), q)
+            new = ech[start:k]
+            new -= np.outer(new[:, nz[0]], row)
+            _mod(new, q)
+            ech[k], piv[k], words[k] = row, nz[0], raw[t]
+            k += 1
+        if k > start:
+            old = ech[:start]
+            old -= old[:, piv[start:k]] @ ech[start:k]
+            _mod(old, q)
 
-    for g in family.members:
-        if k >= target:
-            break
-        try_add(g)
+    gens = np.zeros((len(ids), d, d))
+    for g, op in zip(gens, (oc.build_coupling(cid, n) for cid in ids)):
+        a = np.where(op.coeff < 0, q - sqrt_r[op.radicand], sqrt_r[op.radicand])
+        ia = _mod(i_q * a, q)
+        g[op.pj, op.pk] = np.where(op.kind == 0, ia, a)
+        g[op.pk, op.pj] = np.where(op.kind == 0, ia, q - a)
+    offer(gens)
     history.append((0, k))
 
     k0 = k
     j = 1
     while j < k < target:
-        bj, partners = mats[j], mats[:min(j, k0)]
-        for c in partners @ bj - bj @ partners:
-            if k >= target:
-                break
-            try_add(c)
+        bj, partners = words[j], words[:min(j, k0)]
+        offer(_mod(partners @ bj - bj @ partners, q))
         history.append((len(partners), k))
         j += 1
 
-    dim = k
-    if dim:
-        sv = np.linalg.svd(basis[:dim], compute_uv=False)
-        if abs(sv[0] - 1.0) > 1e-8 or abs(sv[-1] - 1.0) > 1e-8:
-            raise InternalConsistencyError("orthonormal basis lost orthonormality")
-        sv_raw = np.linalg.svd(raw_accepted[:dim], compute_uv=False)
-        rank_raw = int(np.sum(sv_raw > sv_raw[0] * tol * 1e-3))
-        if rank_raw != dim:
-            raise InternalConsistencyError(
-                f"rank cross-check disagrees: basis {dim} vs raw svd {rank_raw}")
-    report = ClosureReport(dimension=dim, target=target, certified=dim == target,
-                           basis_rank_history=history, tolerance=tol,
-                           labels=list(family.labels))
-    return report, list(mats[:dim])
+    report = ClosureReport(dimension=k, target=target, certified=k == target,
+                           basis_rank_history=history, q=q, labels=list(ids))
+    return report, words[:k]
 
 
 def resolve_family(selector) -> tuple[str, ...]:
@@ -176,7 +192,7 @@ def _hypothesis_met(ids) -> bool:
                    for star in ("r", "b")) for gamma in (1, 2))
 
 
-def certify_modal(n: int, family="full", tol: float = DEFAULT_TOL) -> ClosureReport:
+def certify_modal(n: int, family="full") -> ClosureReport:
     """Rank certificate for an ion generator family on the 4n-truncation.
 
     Certified means the closure reaches dim su(4n) = 16n^2 - 1.  Requires
@@ -192,18 +208,17 @@ def certify_modal(n: int, family="full", tol: float = DEFAULT_TOL) -> ClosureRep
     if not _hypothesis_met(ids):
         warnings.warn("family misses a carrier+sideband quadruple for some ion; "
                       "certification may still succeed", stacklevel=2)
-    rep = lie_closure(GeneratorFamily.from_couplings(ids, n), tol)
+    rep, _ = lie_closure(ids, n)
     rep.n = n
     return rep
 
 
-def certify_law_eberly(n: int, star: str, tol: float = DEFAULT_TOL) -> ClosureReport:
+def certify_law_eberly(n: int, star: str) -> ClosureReport:
     """Rank certificate for the single-ion family {V, W, V*, W*} on 2n levels."""
     if n < 2:
         raise ValueError("Law-Eberly certification requires n >= 2")
     if star not in ("r", "b"):
         raise ValueError("star must be 'r' or 'b'")
-    ids = ("V", "W", f"V{star}", f"W{star}")
-    rep = lie_closure(GeneratorFamily.from_couplings(ids, n), tol)
+    rep, _ = lie_closure(("V", "W", f"V{star}", f"W{star}"), n)
     rep.n = n
     return rep

@@ -14,7 +14,7 @@ so the flow of a single piecewise-constant segment is an exact bundle of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -128,25 +128,6 @@ class TruncatedOperator:
     coeff: np.ndarray
     kind: np.ndarray  # uint8: 0 = E, 1 = F
     radicand: np.ndarray
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = expand_pairs_dense(self.dim, self.pj, self.pk, self.coeff, self.kind)
-        return self._matrix
-
-
-def expand_pairs_dense(dim, pj, pk, coeff, kind) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for j, k, c, t in zip(pj, pk, coeff, kind):
-        if t == 0:
-            m[k, j] += 1j * c
-            m[j, k] += 1j * c
-        else:
-            m[k, j] += -c
-            m[j, k] += +c
-    return m
 
 
 def _check_disjoint(pj, pk, cid):

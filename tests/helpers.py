@@ -5,7 +5,10 @@ patterns of the couplings (with ``build_D`` and the reordering permutation)
 are the closed forms the C2 checks compare against, and the dense
 decomposition U = sum_j U_j + U_dec + U_rho with its class projectors is
 what C3 checks; it routes pairs through the package's own class rule,
-``spectral_decoupling.class_mask``.  ``segment_flow`` is one segment of the
+``spectral_decoupling.class_mask``.  ``dense`` expands an operator's pair
+list into the dense matrix that the float oracles compare against, and
+``rank_mod`` is the rank over F_q of plain Gaussian elimination, for the
+exact Lie certificate.  ``segment_flow`` is one segment of the
 runtime ``SegmentProgram`` path that both simulators use,
 ``basis_split`` inverts the runtime ``operator_core.basis_index``,
 ``gradient_check`` compares the planner's adjoint gradient with central
@@ -92,6 +95,45 @@ def block_pattern_matrix(cid, n):
                               for row in rows])
 
 
+def expand_pairs_dense(dim, pj, pk, coeff, kind):
+    """The dense skew-Hermitian matrix of a pair list: E[j,k] puts i*c at
+    (k, j) and (j, k), F[j,k] puts -c at (k, j) and +c at (j, k)."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for j, k, c, t in zip(pj, pk, coeff, kind):
+        if t == 0:
+            m[k, j] += 1j * c
+            m[j, k] += 1j * c
+        else:
+            m[k, j] += -c
+            m[j, k] += +c
+    return m
+
+
+def dense(op):
+    """The dense matrix of a ``TruncatedOperator``."""
+    return expand_pairs_dense(op.dim, op.pj, op.pk, op.coeff, op.kind)
+
+
+def rank_mod(rows, q):
+    """Rank over F_q of an integer matrix, by Gaussian elimination in int64.
+
+    Entries stay below q < 2^31, so every product fits.
+    """
+    a = np.asarray(rows, dtype=np.int64) % q
+    rank = 0
+    for col in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, col])
+        if nz.size == 0:
+            continue
+        a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, q) % q
+        a[rank + 1:] = (a[rank + 1:] - np.outer(a[rank + 1:, col], a[rank])) % q
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
 def _projector(dim, idx):
     diag = np.zeros(dim)
     diag[idx] = 1.0
@@ -124,8 +166,8 @@ def decompose(op, m):
     classes = range(1, part.count + 1)
 
     def select(mask):
-        return oc.expand_pairs_dense(op.dim, op.pj[mask], op.pk[mask],
-                                     op.coeff[mask], op.kind[mask])
+        return expand_pairs_dense(op.dim, op.pj[mask], op.pk[mask],
+                                  op.coeff[mask], op.kind[mask])
 
     dec = op.radicand == m - 1
     return Decomposition(

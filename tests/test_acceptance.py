@@ -81,7 +81,7 @@ def test_c2_spectral_suite():
     for cid in oc.ION_IDS:
         for n in range(1, 9):
             op = oc.build_coupling(cid, n)
-            moduli = np.abs(np.linalg.eigvals(op.matrix))
+            moduli = np.abs(np.linalg.eigvals(helpers.dense(op)))
             if oc.is_carrier(cid):
                 if np.max(np.abs(moduli - 1.0)) > 1e-10:
                     failures.append(f"{cid} n={n}: carrier moduli not all 1")
@@ -92,15 +92,15 @@ def test_c2_spectral_suite():
                     failures.append(f"{cid} n={n}: sideband moduli off by {err:.2e}")
             ref = helpers.block_pattern_matrix(cid, n)
             perm = helpers.permutation_matrix(n)
-            got = perm @ op.matrix @ perm.T
+            got = perm @ helpers.dense(op) @ perm.T
             if np.max(np.abs(got - ref)) > 1e-12:
                 failures.append(f"{cid} n={n}: permuted form mismatch")
     for cid in SIDEBANDS:
         for n in (3, 5, 8):
             part = sd.resonance_partition(n + 1)
-            tot = sum(sd.build_decoupled_generator(cid, j, n).matrix
+            tot = sum(helpers.dense(sd.build_decoupled_generator(cid, j, n))
                       for j in range(1, part.count + 1))
-            if np.max(np.abs(tot - oc.build_coupling(cid, n).matrix)) > 1e-12:
+            if np.max(np.abs(tot - helpers.dense(oc.build_coupling(cid, n)))) > 1e-12:
                 failures.append(f"{cid} n={n}: telescoping identity fails")
     _verdict(2, "spectral-suite", failures,
              "12 operators, n<=8, permuted forms + telescoping")
@@ -119,7 +119,7 @@ def test_c3_decomposition_suite():
         for m in range(2, 13):
             dec = helpers.decompose(op, m)
             terms = dec.parts + [dec.u_dec, dec.u_rho]
-            if np.max(np.abs(sum(terms) - op.matrix)) > 1e-12:
+            if np.max(np.abs(sum(terms) - helpers.dense(op))) > 1e-12:
                 failures.append(f"{cid} m={m}: reconstruction")
             for i, a in enumerate(terms):
                 for j, b in enumerate(terms):
@@ -275,7 +275,7 @@ def test_c8_exactness_oracle():
         phi = np.zeros(dim, dtype=complex)
         inner = max(dim - 8, 1)
         phi[:inner] = oc.random_state(inner, rng)
-        ref = expm(dur * amp * oc.build_coupling(cid, n).matrix) @ phi
+        ref = expm(dur * amp * helpers.dense(oc.build_coupling(cid, n))) @ phi
         got = helpers.segment_flow(cid, dur * amp, phi, dim)
         err = float(np.max(np.abs(got - ref)))
         worst = max(worst, err)

@@ -56,6 +56,10 @@ def test_parse_rejects_garbage():
         cli.parse_state_spec("ham", 12, rng)
     with pytest.raises(ValueError):
         cli.parse_state_spec("e55", 12, rng)
+    # a dangling or doubled sign is an error, not a term silently dropped
+    for spec in ("e1+", "e1++e2", "+-e1", "e1--e2"):
+        with pytest.raises(ValueError):
+            cli.parse_state_spec(spec, 12, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,7 @@ def test_certify_full_n3(tmp_path):
     blob = json.loads((tmp_path / "certify_full_n3.json").read_text())
     assert blob["dimension"] == 143
     assert blob["certified"] is True
-    assert set(blob["config"]) == {"n", "family", "tol"}
+    assert set(blob["config"]) == {"n", "family"}
 
 
 def test_certify_red_only(tmp_path):
@@ -254,6 +258,17 @@ def test_config_with_backend_key_reproduces(tmp_path):
     assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
 
 
+def test_certify_artifact_with_tol_key_reproduces(tmp_path):
+    # certify artifacts once carried config.tol; such a file still replays the run
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["certify", "--n", "3", "--output-dir", str(a)]) == 0
+    old = json.loads((a / "certify_full_n3.json").read_text())
+    old["config"]["tol"] = 1e-9
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert run(["certify", "--config", str(tmp_path / "old.json"), "--output-dir", str(b)]) == 0
+    assert (a / "certify_full_n3.json").read_bytes() == (b / "certify_full_n3.json").read_bytes()
+
+
 # small valid files: a lifted plan and a modal plan, each with one sideband
 # and one carrier segment
 _SIDEBAND = {"coupling": "V1r", "amplitude": 1.0, "duration": 1.0, "origin": 0,
@@ -322,6 +337,10 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
     (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
       "--eps", "0.05", "--s-max", str(2**53 + 1)], 2),
     (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1", "--s-max", "-1"], 2),
+    (["plan", "--phi0=e1+", "--budget", "2"], 2),
+    # the exact certificate refuses dimension 160 before it allocates anything
+    (["certify", "--n", "40"], 2),
+    (["run-e2e", "--n", "40"], 2),
 ], ids=["config-without-value", "config-list", "plan-list", "plan-missing",
         "lifted-missing", "config-equals", "lifted-s-str", "lifted-s-negative",
         "lifted-s-float", "lifted-p-str", "lifted-p-composite", "lifted-dim-sim-str",
@@ -334,7 +353,8 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
         "config-n-whole-float", "config-seed-float", "config-s-max-float",
         "plan-eps-nan", "plan-M-nan", "decouple-t-hat-nan", "decouple-eps-nan",
         "decouple-eps-inf", "decouple-s-max-negative", "decouple-s-max-2-53",
-        "lift-s-max-negative"])
+        "lift-s-max-negative", "plan-phi0-dangling-sign", "certify-n-40",
+        "run-e2e-n-40"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 10}))
@@ -464,8 +484,8 @@ _JSON = st.recursive(
 # (command, valid flag values by dest, caps on the integer values that set its cost)
 _FUZZ_COMMANDS = [
     ("classes", {"m": 10}, {"m": 40}),
-    ("certify", {"n": 3, "family": "full", "tol": 1e-10}, {"n": 3}),
-    ("certify", {"n": 2, "family": "law-eberly-b", "tol": 1e-10}, {"n": 5}),
+    ("certify", {"n": 3, "family": "full"}, {"n": 3}),
+    ("certify", {"n": 2, "family": "law-eberly-b"}, {"n": 5}),
     ("decouple", {"op": "V1r", "m": 4, "cls": 2, "t_hat": 1.0, "eps": 0.05,
                   "s_max": 1000}, {"m": 40, "s_max": 1000}),
     ("plan", {"n": 3, "eps": 0.5, "eps_plan": 0.05, "M": 1.0, "seed": 7, "budget": 50,

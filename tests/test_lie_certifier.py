@@ -1,15 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import helpers
 from sideband_steer import lie_certifier as lc
 from sideband_steer import operator_core as oc
-
-
-def haar_unitary(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from sideband_steer import spectral_decoupling as sd
 
 
 def project_residual(mat, basis):
@@ -21,45 +18,70 @@ def project_residual(mat, basis):
     return np.linalg.norm(v)
 
 
+def dense_family(ids, n):
+    return [helpers.dense(oc.build_coupling(cid, n)) for cid in ids]
+
+
 # ---------------------------------------------------------------------------
 # basic closures
 # ---------------------------------------------------------------------------
 
 
 def test_single_generator_is_abelian():
-    fam = lc.GeneratorFamily.from_couplings(["V1"], 2)
-    assert lc.lie_closure(fam).dimension == 1
+    rep, _ = lc.lie_closure(["V1"], 2)
+    assert rep.dimension == 1
 
 
 def test_law_eberly_n1_pair_generates_su2():
-    fam = lc.GeneratorFamily.from_couplings(["V", "W"], 1)
-    rep = lc.lie_closure(fam)
+    rep, _ = lc.lie_closure(["V", "W"], 1)
     assert rep.dimension == 3 == rep.target
 
 
 def test_two_carriers_stay_small():
-    fam = lc.GeneratorFamily.from_couplings(["V1", "W1"], 3)
-    rep = lc.lie_closure(fam)
+    rep, _ = lc.lie_closure(["V1", "W1"], 3)
     assert rep.dimension == 3
     assert not rep.certified
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        lc.GeneratorFamily([], [])
+        lc.lie_closure([], 3)
     with pytest.raises(ValueError):
-        lc.GeneratorFamily([np.eye(2)], ["H"])  # Hermitian, not skew
-    with pytest.raises(ValueError):
-        lc.lie_closure(lc.GeneratorFamily.from_couplings(["V1"], 2), tol=0.5)
+        lc.lie_closure(["V1", "V"], 2)  # 8 and 4 levels
 
 
-def test_trace_subtraction_recorded():
-    m = 1j * np.eye(3)
-    fam = lc.GeneratorFamily([m], ["i*id"])
-    # the trace 3i is removed as (3i / 3) * identity, which leaves zero
-    assert np.array_equal(fam.members[0], m - (3j / 3) * np.eye(3))
-    assert abs(np.trace(fam.members[0])) < 1e-14
-    assert lc.lie_closure(fam).dimension == 0
+# ---------------------------------------------------------------------------
+# the prime field and its exactness bound
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 22])
+def test_field_has_the_square_roots(n):
+    d = 4 * n
+    q, i_q, sqrt_r = lc._field(d, n)
+    assert sd.is_prime(q) and q > 2**20 and q % 4 == 1
+    assert d * d * (q - 1) ** 2 < 2**53
+    assert i_q * i_q % q == q - 1
+    assert [int(x) ** 2 % q for x in sqrt_r] == list(range(n + 1))
+
+
+@pytest.mark.parametrize("q", [lc._field(12, 3)[0], lc._field(80, 40)[0]])
+def test_mod_is_exact_up_to_the_limit(q):
+    lim = 2**53 - q
+    k = lim // q
+    edges = [lim, -lim, k * q - 1, -(k * q + 1), k * q, -k * q, q - 1, -1, 0]
+    rand = np.random.default_rng(3).integers(-lim, lim, size=100_000, endpoint=True)
+    x = np.concatenate([edges, rand])
+    assert np.array_equal(lc._mod(x.astype(np.float64), q), x % q)
+
+
+@pytest.mark.parametrize("n, ids", [(23, oc.ION_IDS), (40, oc.ION_IDS),
+                                    (42, ("V", "W", "Vr", "Wr"))])
+def test_inexact_dimensions_are_refused(n, ids):
+    # d = 92 and 160 exceed every q > 2^20; at d = 84 the primes up to 42
+    # need a q past the bound
+    with pytest.raises(ValueError, match="exact certificate"):
+        lc.lie_closure(ids, n)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +108,7 @@ def test_law_eberly_n2_is_symplectic(star):
 
 
 def test_law_eberly_n2_invariant_form():
-    mats = [oc.build_coupling(i, 2).matrix for i in ("V", "W", "Vr", "Wr")]
+    mats = [helpers.dense(oc.build_coupling(i, 2)) for i in ("V", "W", "Vr", "Wr")]
     d = 4
     rows = [np.kron(np.eye(d), x.T) + np.kron(x.T, np.eye(d)) for x in mats]
     sym = np.zeros((d * d, d * d))
@@ -97,6 +119,41 @@ def test_law_eberly_n2_invariant_form():
     system = np.vstack(rows + [sym])
     sv = np.linalg.svd(system, compute_uv=False)
     assert int(np.sum(sv < 1e-10)) == 1  # a unique invariant antisymmetric form
+
+
+# the form J(phi_j, phi_k) pairs level j with level 5 - j; antisymmetric,
+# with det J = Pf(J)^2 = 1
+_J2 = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]])
+
+
+def _int_det(a):
+    """Exact integer determinant by the Leibniz expansion."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= int(a[i][j])
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("star", ["r", "b"])
+def test_law_eberly_n2_closure_is_exactly_sp2(star):
+    # upper bound: every generator M satisfies M^T J + J M = 0 for one
+    # nondegenerate integer antisymmetric J, so the closure lies in the
+    # symplectic algebra of J, of complex dimension 10.  Lower bound: the
+    # exact certificate finds 10 words independent mod q, so independent
+    # over C.  Together: the closure is sp(2), of dimension exactly 10.
+    assert np.array_equal(_J2.T, -_J2) and _int_det(_J2) == 1
+    for cid in ("V", "W", f"V{star}", f"W{star}"):
+        m = helpers.dense(oc.build_coupling(cid, 2))
+        parts = m.real.astype(np.int64), m.imag.astype(np.int64)
+        assert np.array_equal(parts[0] + 1j * parts[1], m)  # entries in {0, +-1, +-i}
+        for part in parts:
+            assert not np.any(part.T @ _J2 + _J2 @ part)
+    assert lc.certify_law_eberly(2, star).dimension == 10
 
 
 def test_law_eberly_rejects_small_n():
@@ -148,48 +205,22 @@ def test_report_json():
     assert blob["n"] == 3
 
 
-# ---------------------------------------------------------------------------
-# stability properties
-# ---------------------------------------------------------------------------
-
-
-def test_closure_invariant_under_conjugation():
-    rng = np.random.default_rng(5)
-    base = lc.GeneratorFamily.from_couplings(["V", "W", "Vr", "Wr"], 3)
-    ref = lc.lie_closure(base).dimension
-    for _ in range(10):
-        u = haar_unitary(6, rng)
-        fam = lc.GeneratorFamily([u @ m @ u.conj().T for m in base.members],
-                                 list(base.labels))
-        assert lc.lie_closure(fam).dimension == ref
-
-
-def test_closure_invariant_under_rescaling():
-    rng = np.random.default_rng(6)
-    ids = ["V1", "W1", "V1r", "W1r"]
-    base = lc.GeneratorFamily.from_couplings(ids, 3)
-    ref = lc.lie_closure(base).dimension
-    scales = rng.uniform(0.1, 10, len(ids))
-    fam = lc.GeneratorFamily([s * m for s, m in zip(scales, base.members)], ids)
-    assert lc.lie_closure(fam).dimension == ref
-
-
 def test_closure_is_closed_under_brackets():
     # su(6), then two proper subalgebras, where closure under every bracket
-    # is not automatic: sp(2) inside su(4), and the carriers of one ion
+    # is not automatic: sp(2) inside su(4), and the carriers of one ion.
+    # Exact: the bracket of every accepted word with every generator lies in
+    # the span of the accepted words mod q
     for ids, n, dim in ((("V", "W", "Vr", "Wr"), 3, 35),
                         (("V", "W", "Vr", "Wr"), 2, 10),
                         (("V1", "W1"), 3, 3)):
-        fam = lc.GeneratorFamily.from_couplings(ids, n)
-        rep, basis = lc.closure_basis(fam)
+        rep, words = lc.lie_closure(ids, n)
         assert rep.dimension == dim
-        tol = rep.tolerance
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                c = basis[i] @ basis[j] - basis[j] @ basis[i]
-                if np.linalg.norm(c) < 1e-12:
-                    continue
-                assert project_residual(c, basis) < 10 * tol
+        words = words.astype(np.int64)
+        gens = words[:rep.basis_rank_history[0][1]]
+        brackets = [(g @ w - w @ g) % rep.q for g in gens for w in words]
+        assert helpers.rank_mod(words.reshape(dim, -1), rep.q) == dim
+        rows = np.concatenate([words, brackets]).reshape(-1, words[0].size)
+        assert helpers.rank_mod(rows, rep.q) == dim
 
 
 def test_rank_history_monotone():
@@ -208,19 +239,20 @@ def test_modal_full_family_n5():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the closure against the per-vector loop it replaced
+# oracle: the exact closure against a float per-vector loop
 # ---------------------------------------------------------------------------
 
 
-def closure_oracle(family, tol=lc.DEFAULT_TOL):
+def closure_oracle(members, tol=1e-9):
     """Per-vector modified Gram-Schmidt, run twice, one basis vector at a time.
 
-    Same bracket schedule, acceptance rule and early stop as the closure:
-    round j brackets element j with the first min(j, k0) elements, where the
-    first k0 span the generators.  Also returns the residual of every accepted and every
+    Same bracket schedule and early stop as the closure: round j brackets
+    element j with the first min(j, k0) elements, where the first k0 span
+    the generators.  A candidate is accepted when its relative residual
+    exceeds ``tol``.  Also returns the residual of every accepted and every
     rejected candidate.
     """
-    d = family.dim
+    d = len(members[0])
     target = d * d - 1
     mats, vecs, history, accepted, rejected = [], [], [], [], []
 
@@ -241,7 +273,7 @@ def closure_oracle(family, tol=lc.DEFAULT_TOL):
         vecs.append(v)
         mats.append((v[:d * d] + 1j * v[d * d:]).reshape(d, d))
 
-    for g in family.members:
+    for g in members:
         try_add(g)
     history.append((0, len(mats)))
     k0 = len(mats)
@@ -259,20 +291,10 @@ def closure_oracle(family, tol=lc.DEFAULT_TOL):
 def _oracle_family(name):
     kind, _, arg = name.partition(":")
     if kind == "modal":
-        return lc.GeneratorFamily.from_couplings(lc.resolve_family(arg), 3)
-    if kind == "law-eberly":
-        n, star = int(arg[:-1]), arg[-1]
-        return lc.GeneratorFamily.from_couplings(("V", "W", f"V{star}", f"W{star}"), n)
-    if kind == "haar":
-        base = lc.GeneratorFamily.from_couplings(["V", "W", "Vr", "Wr"], 3)
-        u = haar_unitary(6, np.random.default_rng(5))
-        return lc.GeneratorFamily([u @ m @ u.conj().T for m in base.members],
-                                  list(base.labels))
-    assert kind == "rescaled"
-    ids = ["V1", "W1", "V1r", "W1r"]
-    base = lc.GeneratorFamily.from_couplings(ids, 3)
-    scales = np.random.default_rng(6).uniform(0.1, 10, len(ids))
-    return lc.GeneratorFamily([s * m for s, m in zip(scales, base.members)], ids)
+        return lc.resolve_family(arg), 3
+    assert kind == "law-eberly"
+    n, star = int(arg[:-1]), arg[-1]
+    return ("V", "W", f"V{star}", f"W{star}"), n
 
 
 # the expected dimension of each oracle family, written out so that the
@@ -280,20 +302,18 @@ def _oracle_family(name):
 _ORACLE_DIMS = {
     "modal:full": 143, "modal:red-only": 143, "modal:blue-only": 143,
     **{f"law-eberly:{n}{star}": dim for n, dim in ((2, 10), (3, 35), (4, 63), (5, 99))
-       for star in "rb"},
-    "haar": 35, "rescaled": 35}
+       for star in "rb"}}
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_DIMS))
 def test_closure_matches_per_vector_oracle(name):
-    fam = _oracle_family(name)
-    rep, basis = lc.closure_basis(fam)
-    history, mats, accepted, rejected = closure_oracle(fam)
+    ids, n = _oracle_family(name)
+    rep, _ = lc.lie_closure(ids, n)
+    history, mats, accepted, rejected = closure_oracle(dense_family(ids, n))
     assert rep.dimension == _ORACLE_DIMS[name]
     assert rep.dimension == len(mats)
     assert rep.basis_rank_history == history
-    assert max(np.max(np.abs(a - b)) for a, b in zip(basis, mats)) < 1e-10
-    # every decision has a wide margin on both sides of tol = 1e-9
+    # every float decision of the oracle has a wide margin on both sides of tol
     assert min(accepted) > 1e-3
     assert max(rejected, default=0.0) < 1e-12
 
@@ -313,9 +333,9 @@ def _random_su(n, rng):
 def test_appendix_block_shapes_in_closure():
     n = 3
     rng = np.random.default_rng(9)
-    fam = lc.GeneratorFamily.from_couplings(oc.ION_IDS, n)
-    rep, basis = lc.closure_basis(fam)
+    rep, _ = lc.lie_closure(oc.ION_IDS, n)
     assert rep.certified
+    _, basis, _, _ = closure_oracle(dense_family(oc.ION_IDS, n))
     p = helpers.permutation_matrix(n)
     z = np.zeros((n, n), dtype=complex)
     for _ in range(5):

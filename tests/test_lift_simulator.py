@@ -171,7 +171,7 @@ def test_lifted_sideband_segment_matches_expm():
     phi0 = oc.random_state(12, np.random.default_rng(3))
     final = ls.simulate_lifted(lp, phi0)[0][-1]
     dim = lp.dim_sim
-    dense = oc.build_coupling(seg.coupling, dim // 4).matrix
+    dense = helpers.dense(oc.build_coupling(seg.coupling, dim // 4))
     t_bar = seg.t_hat + 2 * np.pi * seg.s / np.sqrt(seg.nu_kernel)
     pad = np.zeros(dim, dtype=complex)
     pad[:12] = phi0
@@ -183,7 +183,7 @@ def test_lifted_sideband_segment_matches_expm():
 
 
 def _dense_lifted_step(seg, dim):
-    dense = oc.truncate(seg.coupling, dim).matrix
+    dense = helpers.dense(oc.truncate(seg.coupling, dim))
     if seg.is_sideband:
         return expm((seg.t_hat + 2 * np.pi * seg.s / np.sqrt(seg.nu_kernel)) * dense)
     return expm(seg.duration * seg.amplitude * dense)
@@ -199,7 +199,7 @@ def test_mixed_plan_states_match_dense_product_after_every_segment():
     ref = phi0.copy()
     for seg, got in zip(plan.segments, modal[1:]):
         op = mp.build_generator_operator(seg.generator, plan.p)
-        ref = expm(seg.angle * op.matrix) @ ref
+        ref = expm(seg.angle * helpers.dense(op)) @ ref
         assert np.max(np.abs(got - ref)) < 1e-12
 
     lp = ls.lift_plan(plan, eps=0.5)

@@ -42,7 +42,7 @@ def test_generator_operators_nonzero():
     for gid in mp.default_generator_ids(3):
         op = mp.build_generator_operator(gid, 3)
         assert len(op.pj) > 0
-        m = op.matrix
+        m = helpers.dense(op)
         assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
 

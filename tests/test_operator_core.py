@@ -43,7 +43,7 @@ def test_basis_offsets():
 
 
 def test_v1_n1_by_hand():
-    m = oc.build_coupling("V1", 1).matrix
+    m = helpers.dense(oc.build_coupling("V1", 1))
     ref = np.zeros((4, 4), dtype=complex)
     ref[0, 1] = ref[1, 0] = ref[2, 3] = ref[3, 2] = -1j
     assert np.array_equal(m, ref)
@@ -52,7 +52,7 @@ def test_v1_n1_by_hand():
 def test_v1r_n1_truncates_to_zero():
     op = oc.build_coupling("V1r", 1)
     assert len(op.pj) == 0
-    assert np.array_equal(op.matrix, np.zeros((4, 4)))
+    assert np.array_equal(helpers.dense(op), np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -60,7 +60,7 @@ def test_sideband_truncation_spectrum(n):
     # spectrum is exactly {0} u {+-i sqrt(j) : j=1..n-1}: two pairs per
     # phonon level give multiplicity 2 for each +-i sqrt(j), and the four
     # truncation-boundary coordinates fill the kernel
-    ev = np.linalg.eigvals(oc.build_coupling("V1r", n).matrix)
+    ev = np.linalg.eigvals(helpers.dense(oc.build_coupling("V1r", n)))
     assert np.max(np.abs(ev.real)) < 1e-10
     expected = [0.0] * 4
     for j in range(1, n):
@@ -72,12 +72,10 @@ def test_sideband_truncation_spectrum(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_skew_hermitian_and_disjoint(cid, n):
     op = oc.build_coupling(cid, n)
-    assert frob(op.matrix + op.matrix.conj().T) < 1e-12
+    m = helpers.dense(op)
+    assert frob(m + m.conj().T) < 1e-12
     idx = np.concatenate([op.pj, op.pk]).tolist()
     assert len(set(idx)) == len(idx)
-    # dense matrix equals the pair expansion by construction; re-expand
-    re = oc.expand_pairs_dense(op.dim, op.pj, op.pk, op.coeff, op.kind)
-    assert np.array_equal(re, op.matrix)
 
 
 def test_sideband_pairs_link_adjacent_phonons():
@@ -119,14 +117,14 @@ def test_build_d_examples():
 def test_permuted_matches_block_pattern(cid, n):
     ref = helpers.block_pattern_matrix(cid, n)
     p = helpers.permutation_matrix(n)
-    got = p @ oc.build_coupling(cid, n).matrix @ p.T
+    got = p @ helpers.dense(oc.build_coupling(cid, n)) @ p.T
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_permutation_is_identity_at_n1():
     p = helpers.permutation_matrix(1)
     assert np.array_equal(p, np.eye(4))
-    m = oc.build_coupling("V1", 1).matrix
+    m = helpers.dense(oc.build_coupling("V1", 1))
     assert np.array_equal(p @ m @ p.T, m)
 
 
@@ -149,7 +147,7 @@ def test_law_eberly_block_forms(n):
         "Wr": np.block([[z, -d.T], [d, z]]),
     }
     for cid, mat in ref.items():
-        assert np.max(np.abs(oc.build_coupling(cid, n).matrix - mat)) < 1e-14
+        assert np.max(np.abs(helpers.dense(oc.build_coupling(cid, n)) - mat)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ def test_segment_matches_expm(rng):
         phi = np.zeros(dim, dtype=complex)
         inner = max(dim - 4, 1)
         phi[:inner] = oc.random_state(inner, rng)
-        dense = oc.build_coupling(cid, n).matrix
+        dense = helpers.dense(oc.build_coupling(cid, n))
         ref = expm(dur * amp * dense) @ phi
         got = helpers.segment_flow(cid, dur * amp, phi, dim)
         assert np.max(np.abs(got - ref)) < 1e-10

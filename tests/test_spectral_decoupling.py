@@ -129,7 +129,7 @@ def test_decoupling_order_hypothesis():
 
 def _eigh_projector(cid, dim, moduli):
     """Dense-eigensolve oracle: projector onto eigenspaces with the given moduli."""
-    u = oc.build_coupling(cid, dim // 4).matrix
+    u = helpers.dense(oc.build_coupling(cid, dim // 4))
     w, v = np.linalg.eigh(1j * u)
     cols = [v[:, i] for i in range(dim)
             if any(abs(abs(w[i]) - m) < 1e-8 for m in moduli)]
@@ -180,7 +180,7 @@ def test_decomposition_invariants(cid, m):
     dec = helpers.decompose(op, m)
     terms = dec.parts + [dec.u_dec, dec.u_rho]
     recon = sum(terms)
-    assert np.max(np.abs(recon - op.matrix)) < 1e-12
+    assert np.max(np.abs(recon - helpers.dense(op))) < 1e-12
     for i, a in enumerate(terms):
         for j, b in enumerate(terms):
             if i != j:
@@ -208,15 +208,15 @@ def test_decomposition_dec_spectrum():
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_telescoping(cid, n):
     part = sd.resonance_partition(n + 1)
-    tot = sum(sd.build_decoupled_generator(cid, j, n).matrix
+    tot = sum(helpers.dense(sd.build_decoupled_generator(cid, j, n))
               for j in range(1, part.count + 1))
-    assert np.max(np.abs(tot - oc.build_coupling(cid, n).matrix)) < 1e-12
+    assert np.max(np.abs(tot - helpers.dense(oc.build_coupling(cid, n)))) < 1e-12
 
 
 def test_zero_class_generator_is_zero():
     g = sd.build_decoupled_generator("V1r", 1, 5)
     assert len(g.pj) == 0
-    assert np.max(np.abs(g.matrix)) == 0
+    assert np.max(np.abs(helpers.dense(g))) == 0
 
 
 def test_class_generators_moduli_at_n3():
@@ -224,14 +224,14 @@ def test_class_generators_moduli_at_n3():
     expected = [[], [1.0], [np.sqrt(2)]]
     for j, want in zip((1, 2, 3), expected):
         g = sd.build_decoupled_generator("W1b", j, 3)
-        ev = np.linalg.eigvals(g.matrix)
+        ev = np.linalg.eigvals(helpers.dense(g))
         got = sorted(set(np.round(np.abs(ev[np.abs(ev) > 1e-10]), 10)))
         assert got == pytest.approx(want)
 
 
 def test_decoupled_generator_skew_and_contained():
     g = sd.build_decoupled_generator("V2r", 3, 6)
-    m = g.matrix
+    m = helpers.dense(g)
     assert np.max(np.abs(m + m.conj().T)) < 1e-12
     assert m.shape == (24, 24)
 
@@ -248,7 +248,7 @@ def test_eigenvector_localization(cid, n):
     # its own boundary, so the containment claim is checked on nonzero
     # moduli; the genuine kernel of the untruncated operator is the two
     # never-paired coordinates, which sit in the lowest phonon block
-    big = oc.build_coupling(cid, n + 3).matrix
+    big = helpers.dense(oc.build_coupling(cid, n + 3))
     w, v = np.linalg.eigh(1j * big)
     inside = (np.abs(w) < np.sqrt(n) - 1e-9) & (np.abs(w) > 1e-9)
     outside = np.abs(w) > np.sqrt(n) + 1e-9

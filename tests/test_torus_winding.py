@@ -501,7 +501,7 @@ def test_part_exponentials_commute_and_compose(rng):
         prod = np.eye(op.dim, dtype=complex)
         for u in terms:
             prod = prod @ expm(t * u)
-        ref = expm(t * op.matrix)
+        ref = expm(t * helpers.dense(op))
         assert np.max(np.abs(prod - ref)) < 1e-12
 
 
