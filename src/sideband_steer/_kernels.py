@@ -64,10 +64,13 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # ---------------------------------------------------------------------------
 # decoupling-time scan
 #
-# bound(s) = sum over classes of max over class members w of 2|sin(w*tbar/2)|
-# with tbar = t_hat + step*s.  Returns the first s in [s0, s1) whose bound
-# is below eps (or -1) plus the best (s, bound) seen, so exhausted searches
-# can report how close they got.
+# bound(s) = sum over classes h of max over class members w of
+# 2|sin(w*tbar_h/2)| with tbar_h = t_h + step*s.  t_hat gives the phase t_h
+# of every class: one float for all of them, or one per class.  A lifted
+# run of commuting class flows passes t_h = t_hat - tau_h, tau_h the angle
+# class h must realise (0.0 off the run).  Returns the first s in [s0, s1)
+# whose bound is below eps (or -1) plus the best (s, bound) seen, so
+# exhausted searches can report how close they got.
 #
 # The work follows the survivors, not the window.  With thr = max(eps,
 # best_bound), an s matters only if bound(s) < thr: otherwise it is neither
@@ -80,7 +83,7 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # exactly 0.0 and are skipped.
 #
 # The screen.  For w = sqrt(r) and step = 2*pi/sqrt(nu), r and nu integers,
-# w*tbar/2 = pi*(beta + s*alpha) with beta = w*t_hat/(2*pi) and alpha =
+# w*tbar_h/2 = pi*(beta + s*alpha) with beta = w*t_h/(2*pi) and alpha =
 # sqrt(r/nu), carried exactly as _sqrt_fixed(r*nu) / (nu * 10**_SQRT_DIGITS).
 # Take each class's smallest radicand and let D_j(s) be the distance of
 # beta_j + s*alpha_j to the nearest integer; the class term is at least
@@ -89,7 +92,7 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # [0, pi/2].  So a sum below thr needs sum_j D_j < a: the s that matter lie
 # in a cross-polytope of radius a over the fractional parts.  The radius is
 # widened outward for what separates the oracle's float argument from
-# pi*(beta + s*alpha): a few ulps of w*(|t_hat| + step*s)/2 (the roundings
+# pi*(beta + s*alpha): a few ulps of w*(max |t_h| + step*s)/2 (the roundings
 # of step, of the products and of the sum), a relative 2^-40 on thr/2 for
 # numpy's sin near a multiple of pi and the float sum, and a few ulps of 1
 # for asin, the division by pi and beta.  A class whose alpha is an integer
@@ -130,17 +133,23 @@ def _sqrt_fixed(n: int) -> int:
 
 
 def scan_decoupling(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
-    classes, reps, alphas = _classes(np.asarray(w, dtype=np.float64).tobytes(),
-                                     tuple(int(i) for i in cls_ptr), float(step))
-    screen = _screen(t_hat, reps, alphas)
+    ptr = tuple(int(i) for i in cls_ptr)
+    classes, index, reps, alphas = _classes(np.asarray(w, dtype=np.float64).tobytes(),
+                                            ptr, float(step))
+    per_class = class_phases(t_hat, len(ptr) - 1)
+    phases = [per_class[k] for k in index]
+    distinct = list(dict.fromkeys(phases))
+    terms = tuple((lo, hi, distinct.index(t)) for (lo, hi), t in zip(classes, phases))
+    screen = _screen(phases, reps, alphas)
+    t_max = max(map(abs, phases), default=0.0)
     cand = -1
     p0 = s0
     while p0 < s1:
         thr = max(eps, best_bound)
-        p1, s = _piece(screen, t_hat, step, thr, p0, s1)
+        p1, s = _piece(screen, t_max, step, thr, p0, s1)
         if s is None:
             s = np.arange(p0, p1, dtype=np.float64)
-        s, tot = _bounds_below(t_hat, step, w, classes, s, thr)
+        s, tot = _bounds_below(distinct, step, w, terms, s, thr)
         if len(tot):
             i = int(np.argmin(tot))
             if tot[i] < best_bound:
@@ -153,71 +162,91 @@ def scan_decoupling(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
     return cand, best_s, best_bound
 
 
-def _bounds_below(t_hat, step, w, classes, s, thr):
-    """(s, tot): the indices of ascending ``s`` whose float bound tot is below thr."""
-    h = 0.5 * (t_hat + step * s.astype(np.float64))
-    tot = np.zeros_like(h)
-    for lo, hi in classes:
+def class_phases(t_hat, count):
+    """One phase per class: the entries of ``t_hat``, or ``t_hat`` itself
+    ``count`` times when it is a single number."""
+    if np.ndim(t_hat) == 0:
+        return [float(t_hat)] * count
+    phases = [float(t) for t in t_hat]
+    if len(phases) != count:
+        raise ValueError(f"{len(phases)} phases for {count} classes")
+    return phases
+
+
+def _bounds_below(phases, step, w, terms, s, thr):
+    """(s, tot): the indices of ascending ``s`` whose float bound tot is below
+    thr.  ``terms`` holds each class's (lo, hi, row), row indexing the
+    distinct ``phases``: each half angle 0.5*(t + step*s) is formed once
+    per distinct phase, not once per class."""
+    ss = step * s.astype(np.float64)
+    h = [0.5 * (t + ss) for t in phases]
+    tot = np.zeros_like(ss)
+    for lo, hi, row in terms:
         if hi - lo == 1:
-            m = np.abs(np.sin(w[lo] * h))
+            m = np.abs(np.sin(w[lo] * h[row]))
         else:
-            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], h))).max(axis=0)
+            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], h[row]))).max(axis=0)
         tot += 2.0 * m
         keep = tot < thr
         if not keep.all():
-            s, h, tot = s[keep], h[keep], tot[keep]
+            s, tot = s[keep], tot[keep]
+            h = [x[keep] for x in h]
     return s, tot
 
 
 @lru_cache(maxsize=64)
 def _classes(w_bytes, cls_ptr, step):
-    """(classes, reps, alphas): the (lo, hi) of the classes with a nonzero
-    frequency, each one's smallest nonzero frequency, and (den, q,
-    irrational): alpha_j = q_j/den for the irrational alphas, and which
-    alphas are irrational.  alphas is None unless every rep is sqrt(r), step
-    is 2*pi/sqrt(nu) for integers r, nu, and every rational alpha is an
-    integer."""
+    """(classes, index, reps, alphas): the (lo, hi) of the classes with a
+    nonzero frequency, their positions among all classes, each one's
+    smallest nonzero frequency, and (den, q, irrational): alpha_j = q_j/den
+    for the irrational alphas, and which alphas are irrational.  alphas is
+    None unless every rep is sqrt(r), step is 2*pi/sqrt(nu) for integers r,
+    nu, and every rational alpha is an integer."""
     w = np.frombuffer(w_bytes)
-    classes = tuple((lo, hi) for lo, hi in zip(cls_ptr[:-1], cls_ptr[1:]) if np.any(w[lo:hi]))
+    index = tuple(k for k, (lo, hi) in enumerate(zip(cls_ptr[:-1], cls_ptr[1:]))
+                  if np.any(w[lo:hi]))
+    classes = tuple((cls_ptr[k], cls_ptr[k + 1]) for k in index)
     reps = tuple(float(np.min(w[lo:hi][w[lo:hi] != 0.0])) for lo, hi in classes)
     nu = round((2.0 * math.pi / step) ** 2) if step > 0.0 else 0
     if nu < 1 or 2.0 * math.pi / math.sqrt(nu) != step:
-        return classes, reps, None
+        return classes, index, reps, None
     den = nu * 10**_SQRT_DIGITS
     qs, irrational = [], []
     for wj in reps:
         r = round(wj * wj)
         if not (r >= 1 and math.sqrt(r) == wj):
-            return classes, reps, None
+            return classes, index, reps, None
         irrational.append(isqrt(r * nu) ** 2 != r * nu)
         if irrational[-1]:
             qs.append(_sqrt_fixed(r * nu))
         elif isqrt(r * nu) % nu:  # a rational alpha that is not an integer
-            return classes, reps, None
-    return classes, reps, (den, tuple(qs), tuple(irrational))
+            return classes, index, reps, None
+    return classes, index, reps, (den, tuple(qs), tuple(irrational))
 
 
-def _screen(t_hat, reps, alphas):
+def _screen(phases, reps, alphas):
     """(wsum, den, q, beta, d_const): ``q`` and ``beta`` of the classes with
     an irrational alpha = q/den, the constant distances D of those with an
-    integer alpha, and the sum of all their frequencies.  None where the
-    screen does not apply: then every s is evaluated."""
-    if alphas is None or not math.isfinite(t_hat):
+    integer alpha, and the sum of all their frequencies; ``phases`` holds
+    each class's t_h.  None where the screen does not apply: then every s
+    is evaluated."""
+    if alphas is None or not all(map(math.isfinite, phases)):
         return None
     den, qs, irrational = alphas
-    beta = [wj * t_hat / (2.0 * math.pi) for wj in reps]
+    beta = [wj * tj / (2.0 * math.pi) for wj, tj in zip(reps, phases)]
     return (sum(reps), den, qs, [b for b, irr in zip(beta, irrational) if irr],
             [abs(b - round(b)) for b, irr in zip(beta, irrational) if not irr])
 
 
-def _piece(screen, t_hat, step, thr, p0, s1):
+def _piece(screen, t_max, step, thr, p0, s1):
     """(p1, s): the next piece [p0, p1) of the window and the ascending
-    indices in it whose bound can be below thr, None where all can."""
+    indices in it whose bound can be below thr, None where all can.
+    ``t_max`` is the largest |t_h| of the classes."""
     h = 0.5 * thr * (1.0 + 2.0**-40)
     if screen is None or h >= 1.0:
         return min(s1, p0 + _BLOCK), None
     wsum, den, qs, beta, d_const = screen
-    hmax = 0.5 * (abs(t_hat) + step * (s1 - 1))
+    hmax = 0.5 * (t_max + step * (s1 - 1))
     margin = _SCREEN_ULPS * _EPS64 * (wsum * hmax / math.pi + 4.0 * (len(qs) + len(d_const)))
     rho = math.asin(h) / math.pi + 2.0 * margin - sum(d_const)
     if rho <= 0.0:

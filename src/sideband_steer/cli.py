@@ -344,7 +344,7 @@ def cmd_run_e2e(args) -> int:
     _write_json(outdir / "lifted_plan.json", lp.to_json(), config)
 
     states, tail = ls.simulate_lifted(lp, phi0)
-    report = ls.error_report(plan, lp, phi0, phiT, (states, tail))
+    report = ls.error_report(plan, lp, phi0, phiT, (states, tail), plan.final_state)
     _write_trajectory(outdir / "trajectory.csv", lp, states, report["final_error"])
     # plot data: predicted error budget vs segment index
     with open(outdir / "budget.csv", "w", newline="") as fh:
@@ -445,10 +445,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None  # built by the first main() call that has no --config
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """The parser of one main() call.
+
+    Building it costs more than a short command, so it is built once per
+    process.  A --config call rewrites defaults and ``required`` flags in
+    place, so it gets a fresh parser of its own.  Either way the --seed
+    default is read from SIDEBAND_STEER_SEED anew.
+    """
+    global _PARSER
+    if _config_path(argv) is not None:
+        return build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
+    seed = _default_seed()
+    for p in _walk_parsers(_PARSER):
+        for a in p._actions:
+            if a.dest == "seed":
+                a.default = seed
+    return _PARSER
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
+        ap = _parser_for(argv)
         _load_config_defaults(ap, argv)
         args = ap.parse_args(argv)
         return args.func(args)

@@ -2,12 +2,14 @@
 
 Carrier segments pass through unchanged: carrier flows never leave a
 4-index internal block, so their truncation error is exactly zero.
-Sideband segments are replaced by exp(t_bar * Z) where t_bar comes from
-the winding search, with the per-segment budget eps/N spread over the
-sideband segments only.  The lifted run is simulated with exact pair
-rotations at a dimension computed from the support-growth bound (one
-phonon level per sideband segment), so the reported tail mass is a bug
-detector, not a truncation estimate.
+Sideband segments come in runs: consecutive segments X[l1], X[l2], ... of
+one coupling X and distinct classes.  Their class flows act on disjoint
+pairs and commute, so one lifted segment per run, exp(t_bar * X) with
+t_bar from one winding search, realises the whole run.  The budget eps/N
+is spread over the N lifted sideband segments (one per run).  The lifted
+plan is simulated with exact pair rotations at a dimension computed from
+the support-growth bound (one phonon level per lifted sideband segment),
+so the reported tail mass is a bug detector, not a truncation estimate.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .modal_planner import Plan, _is_finite, _is_int, simulate_plan_modal
 class LiftedSegment:
     """One admissible segment of the full system.
 
-    For sideband origins amplitude*duration equals t_bar, whose exact
-    value is the triple (t_hat, s, nu_kernel); carriers keep their source
-    amplitude and duration and contribute zero predicted error.
+    A sideband segment lifts the run of plan segments that starts at
+    ``origin``: amplitude*duration equals t_bar, whose exact value is the
+    triple (t_hat, s, nu_kernel) of the run's first class.  Carriers keep
+    their source amplitude and duration and contribute zero predicted error.
     """
 
     coupling: str
@@ -101,10 +104,11 @@ class LiftedPlan:
                  segments=[LiftedSegment.from_json(s) for s in d["segments"]])
         if not _is_int(lp.p) or lp.p > sd.P_MAX or not sd.is_prime(lp.p):
             raise ValueError(f"p must be a prime integer <= {sd.P_MAX}, not {lp.p!r}")
-        # the support bound that lift_plan sizes dim_sim by: one phonon level per sideband
+        # the support bound that lift_plan sizes dim_sim by: one phonon level per
+        # lifted sideband segment
         need = 4 * (lp.p + sum(s.is_sideband for s in lp.segments) + 1)
         if not _is_int(lp.dim_sim) or lp.dim_sim != need:
-            raise ValueError(f"dim_sim must be 4 * (p + sideband segments + 1)"
+            raise ValueError(f"dim_sim must be 4 * (p + lifted sideband segments + 1)"
                              f" = {need}, not {lp.dim_sim!r}")
         for name in ("eps", "total_predicted_error"):
             x = getattr(lp, name)
@@ -125,13 +129,34 @@ def choose_prime(n: int) -> int:
     return p
 
 
+def sideband_runs(plan: Plan) -> list[list[int]]:
+    """The plan's sideband segments grouped into maximal runs: consecutive
+    segments of one coupling whose classes are distinct."""
+    runs: list[list[int]] = []
+    for i, seg in enumerate(plan.segments):
+        gen = seg.generator
+        if gen.kind != "sideband":
+            continue
+        run = runs[-1] if runs and runs[-1][-1] == i - 1 else None
+        if run and all(plan.segments[j].generator.coupling == gen.coupling
+                       and plan.segments[j].generator.class_index != gen.class_index
+                       for j in run):
+            run.append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
 def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
               jobs: int = 1) -> LiftedPlan:
     """Replace modal segments by admissible full-system segments.
 
-    Sideband segments get the uniform budget eps / (number of sideband
-    segments); carriers are exact and keep predicted error 0.  A failed
-    winding search propagates with the index of the failing segment.
+    Each run of sideband segments (:func:`sideband_runs`) becomes one
+    lifted segment.  Its winding search makes the run's first class exact
+    and brings every other class of the run near its planned angle, within
+    the uniform budget eps / (number of runs).  Carriers are exact and keep
+    predicted error 0.  A failed winding search propagates with the index
+    of the run's first segment.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -140,27 +165,26 @@ def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
                          f"(achieved {plan.achieved_error:.3e} >= target "
                          f"{plan.target_error:.3e})")
     m = plan.p + 1
-    side_idx = [i for i, seg in enumerate(plan.segments)
-                if seg.generator.kind == "sideband"]
-    n_side = len(side_idx)
+    runs = sideband_runs(plan)
+    n_side = len(runs)
     eps_seg = eps / n_side if n_side else 0.0
 
-    def lift_one(i: int) -> LiftedSegment:
-        seg = plan.segments[i]
-        t_hat = seg.angle
-        req = tw.DecouplingRequest(id=seg.generator.coupling, m=m,
-                                   ell=seg.generator.class_index,
-                                   t_hat=t_hat, eps=eps_seg, s_max=s_max)
+    def lift_run(run: list[int]) -> LiftedSegment:
+        first, *rest = (plan.segments[i] for i in run)
+        req = tw.DecouplingRequest(
+            id=first.generator.coupling, m=m, ell=first.generator.class_index,
+            t_hat=first.angle, eps=eps_seg, s_max=s_max,
+            offsets=tuple((seg.generator.class_index, seg.angle) for seg in rest))
         try:
             res = tw.find_decoupling_time(req)
         except SearchExhaustedError as exc:
-            exc.segment_index = i
+            exc.segment_index = run[0]
             raise
         sign = 1.0 if res.t_bar >= 0 else -1.0
-        return LiftedSegment(coupling=seg.generator.coupling,
+        return LiftedSegment(coupling=first.generator.coupling,
                              amplitude=sign * plan.M,
                              duration=abs(res.t_bar) / plan.M,
-                             origin=i, predicted_error=res.bound, s=res.s,
+                             origin=run[0], predicted_error=res.bound, s=res.s,
                              t_hat=res.t_hat, nu_kernel=res.nu_kernel)
 
     lifted_side = {}
@@ -171,17 +195,17 @@ def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for i, lifted in zip(side_idx, pool.map(lift_one, side_idx)):
-                    lifted_side[i] = lifted
+                for run, lifted in zip(runs, pool.map(lift_run, runs)):
+                    lifted_side[run[0]] = lifted
         else:
-            for i in side_idx:
-                lifted_side[i] = lift_one(i)
+            for run in runs:
+                lifted_side[run[0]] = lift_run(run)
 
     segments = []
     for i, seg in enumerate(plan.segments):
         if i in lifted_side:
             segments.append(lifted_side[i])
-        else:
+        elif seg.generator.kind != "sideband":
             segments.append(LiftedSegment(coupling=seg.generator.coupling,
                                           amplitude=seg.amplitude,
                                           duration=seg.duration, origin=i))
@@ -237,20 +261,23 @@ def simulate_lifted(lp: LiftedPlan, phi0: np.ndarray) -> tuple[np.ndarray, float
 
 
 def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
-                 phiT: np.ndarray, simulated: tuple[np.ndarray, float]) -> dict:
+                 phiT: np.ndarray, simulated: tuple[np.ndarray, float],
+                 modal: np.ndarray | None = None) -> dict:
     """End-to-end tracking report with the iterated-approximation verdict.
 
     Checks both the unconditional budget (lifted vs modal final state is
     within the summed per-segment bounds) and the end-to-end triangle
     inequality; violation of either raises, since the underlying estimate
-    is exact mathematics.  ``simulated`` is ``simulate_lifted(lp, phi0)``.
+    is exact mathematics.  ``simulated`` is ``simulate_lifted(lp, phi0)``
+    and ``modal`` the plan's modal final state, as ``plan_transfer`` left
+    it in ``plan.final_state``; it is simulated from phi0 when None.
     """
     dim = lp.dim_sim
-    phi0 = np.asarray(phi0, dtype=np.complex128)
     phiT = np.asarray(phiT, dtype=np.complex128)
     states, tail = simulated
     final = states[-1]
-    modal = simulate_plan_modal(plan, phi0)[-1]
+    if modal is None:
+        modal = simulate_plan_modal(plan, np.asarray(phi0, dtype=np.complex128))[-1]
     modal_p = np.zeros(dim, dtype=np.complex128)
     modal_p[:len(modal)] = modal
     target = np.zeros(dim, dtype=np.complex128)

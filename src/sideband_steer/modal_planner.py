@@ -114,7 +114,12 @@ class PlanSegment:
 
 @dataclass
 class Plan:
-    """A steering plan for the order-p decoupled modal truncation."""
+    """A steering plan for the order-p decoupled modal truncation.
+
+    ``final_state`` is the modal final state that :func:`plan_transfer`
+    simulated to measure ``achieved_error``; it is not part of the artifact,
+    and a parsed plan has None.
+    """
 
     p: int
     M: float
@@ -123,6 +128,7 @@ class Plan:
     achieved_error: float
     segments: list[PlanSegment] = field(default_factory=list)
     family: str = "full"
+    final_state: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def success(self) -> bool:
@@ -210,7 +216,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
 
     base_err = float(np.linalg.norm(phi0 - phiT))
     if base_err < eps_plan:
-        return Plan(p, M, seed, eps_plan, base_err, [], family)
+        return Plan(p, M, seed, eps_plan, base_err, [], family, phi0)
 
     gens = default_generator_ids(p, family)
     one_cycle = _program(gens, p)
@@ -248,8 +254,8 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
             segments.append(PlanSegment(gid, amplitude=np.sign(th) * M,
                                         duration=abs(th) / M))
     plan = Plan(p, M, seed, eps_plan, 0.0, segments, family)
-    final = simulate_plan_modal(plan, phi0)[-1]
-    plan.achieved_error = float(np.linalg.norm(final - phiT))
+    plan.final_state = simulate_plan_modal(plan, phi0)[-1]
+    plan.achieved_error = float(np.linalg.norm(plan.final_state - phiT))
     return plan
 
 

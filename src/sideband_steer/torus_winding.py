@@ -8,6 +8,13 @@ the certified bound never depends on float argument reduction at huge
 t_bar.  The same fixed-point reduction supplies exact rotation angles to
 the lifted simulator.
 
+One search can realise a whole run of commuting class flows X[l1], X[l2],
+... of one coupling X: class l1 is made exact through s, and each other
+class h of the run must come near its planned angle tau_h rather than 0,
+so its terms take the phase t_hat - tau_h (``DecouplingRequest.offsets``).
+Without offsets every phase is t_hat - 0.0 == t_hat, and every bit is that
+of a single-class search.
+
 A search costs in proportion to the indices that could qualify, not to
 the index it ends at.  It works upward through windows of s that start at
 _CHUNK_FIRST indices and double, with no cap, so a search to s_max = 1e12
@@ -48,16 +55,18 @@ _CHUNK_FIRST = 4096
 TWO_PI = 2.0 * math.pi
 
 
-def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
+def _exact_batch(members, nu_kernel: int, s_values, t_hat):
     """Exact class errors of radicand classes at every index in ``s_values``.
 
     ``members`` lists each class's radicands in ascending order, and no
-    radicand lies in two classes.  Returns (bounds, per_class, residuals).
-    Row h of ``per_class`` is, per index, the largest 2|sin(delta/2)| over
-    the radicands of class h, row h of ``residuals`` the residual delta of
-    its smallest radicand; ``bounds`` sums the rows in class order.
+    radicand lies in two classes.  ``t_hat`` is one phase for every class
+    or one per class (t_h = t_hat - tau_h in a lifted run).  Returns
+    (bounds, per_class, residuals).  Row h of ``per_class`` is, per index,
+    the largest 2|sin(delta/2)| over the radicands of class h, row h of
+    ``residuals`` the residual delta of its smallest radicand; ``bounds``
+    sums the rows in class order.
 
-    delta is sqrt(r) * (t_hat + 2*pi*s/sqrt(nu_kernel)) reduced mod 2*pi
+    delta is sqrt(r) * (t_h + 2*pi*s/sqrt(nu_kernel)) reduced mod 2*pi
     into [-pi, pi].  The winding part s*sqrt(r/nu_kernel) is reduced with
     ~40 guard digits of integer arithmetic, its numerator modulo its
     denominator once per radicand, so delta is accurate to ~1e-15 rad even
@@ -67,9 +76,10 @@ def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
     """
     den = nu_kernel * 10 ** _SQRT_DIGITS
     s_ints = [int(s) for s in s_values]
-    # radicand 0 takes base 0.0 whatever t_hat is, so its residual is 0.0
-    terms = [(_sqrt_fixed(r * nu_kernel) % den, math.sqrt(r) * t_hat if r else 0.0)
-             for cls in members for r in cls]
+    # radicand 0 takes base 0.0 whatever t_h is, so its residual is 0.0
+    phases = _kernels.class_phases(t_hat, len(members))
+    terms = [(_sqrt_fixed(r * nu_kernel) % den, math.sqrt(r) * t_h if r else 0.0)
+             for cls, t_h in zip(members, phases) for r in cls]
     flat = [math.remainder(base + TWO_PI * ((s * q) % den / den), TWO_PI)
             for q, base in terms for s in s_ints]
     delta = np.array(flat).reshape(-1, len(s_ints))
@@ -84,7 +94,12 @@ def _exact_batch(members, nu_kernel: int, s_values, t_hat: float):
 
 @dataclass(frozen=True)
 class DecouplingRequest:
-    """Inputs of one decoupling-time selection."""
+    """Inputs of one decoupling-time selection.
+
+    ``offsets`` holds (h, tau_h) for the other classes of a lifted run: the
+    flow exp(t_bar U) must bring class h near exp(tau_h U_h), not near the
+    identity.  Every class not named, and the omega_m term, has tau 0.0.
+    """
 
     id: str
     m: int
@@ -92,6 +107,7 @@ class DecouplingRequest:
     t_hat: float
     eps: float
     s_max: int = DEFAULT_S_MAX
+    offsets: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass
@@ -134,8 +150,10 @@ def _torus_data(m: int, ell: int):
 def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     """Smallest s in 0..s_max with sum of class errors below req.eps.
 
-    The hypothesis "omega_h/omega_m irrational or zero" is checked exactly
-    before searching (it reduces to m-1 square-free).  s_max must lie in
+    Class h's error is the largest 2|sin(sqrt(r) (t_bar - tau_h)/2)| over
+    its radicands r, with tau_h from ``req.offsets``.  The hypothesis
+    "omega_h/omega_m irrational or zero" is checked exactly before
+    searching (it reduces to m-1 square-free).  s_max must lie in
     [0, 2**53): the scan's float offsets are exact only below 2**53.
     Raises SearchExhaustedError with the best candidate when no s qualifies.
     """
@@ -154,15 +172,17 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
             f"order m={req.m} violates the decoupling hypothesis: "
             f"omega_{req.m} = sqrt({req.m - 1}) is rationally resonant with a lower frequency")
     members, nu_kernel = _torus_data(req.m, req.ell)
+    phases = _run_phases(req, len(members))
 
     w = np.array([math.sqrt(r) for rads in members for r in rads], dtype=np.float64)
     cls_ptr = np.cumsum([0] + [len(rads) for rads in members]).astype(np.int64)
     step = TWO_PI / math.sqrt(nu_kernel)
     max_w = float(w.max()) if len(w) else 0.0
+    t_max = max(abs(t) for t in phases)
     nterms = len(w)
 
     def accept(s: int) -> DecouplingResult | None:
-        bounds, per_class, residuals = _exact_batch(members, nu_kernel, [s], req.t_hat)
+        bounds, per_class, residuals = _exact_batch(members, nu_kernel, [s], phases)
         bound = float(bounds[0])
         if bound < req.eps:
             return DecouplingResult(
@@ -181,10 +201,10 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
             chunk *= 2
             s_hi = min(s_hi + chunk, req.s_max + 1)
         # slack covers float64 argument-reduction drift at the window's top
-        theta_max = max_w * (abs(req.t_hat) + step * s_hi)
+        theta_max = max_w * (t_max + step * s_hi)
         eps_scan = req.eps + 4e-15 * theta_max * max(1, nterms) + 1e-13
         cand, best_s, best_bound = _kernels.scan_decoupling(
-            req.t_hat, step, w, cls_ptr, eps_scan, s_next, s_hi, best_s, best_bound)
+            phases, step, w, cls_ptr, eps_scan, s_next, s_hi, best_s, best_bound)
         if cand >= 0:
             res = accept(int(cand))
             if res is not None:
@@ -192,11 +212,24 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
             s_next = int(cand) + 1
         else:
             s_next = s_hi
-    best_bound = float(_exact_batch(members, nu_kernel, [int(best_s)], req.t_hat)[0][0])
+    best_bound = float(_exact_batch(members, nu_kernel, [int(best_s)], phases)[0][0])
     raise SearchExhaustedError(
         f"no s <= {req.s_max} meets eps={req.eps}; best s={best_s} "
         f"with bound {best_bound:.6g}",
         best_s=int(best_s), best_bound=best_bound)
+
+
+def _run_phases(req: DecouplingRequest, count: int) -> list[float]:
+    """t_hat - tau_h for the scanned classes: the classes h != ell in
+    ascending order, then the omega_m term, whose tau is 0.0."""
+    others = [h for h in range(1, count + 1) if h != req.ell]
+    tau = dict(req.offsets)
+    if len(tau) != len(req.offsets) or not set(tau) <= set(others):
+        raise ValueError(f"offsets must name distinct classes other than ell={req.ell} "
+                         f"in 1..{count}, not {req.offsets!r}")
+    if not all(math.isfinite(t) for t in tau.values()):
+        raise ValueError(f"offset angles must be finite, not {req.offsets!r}")
+    return [req.t_hat - tau.get(h, 0.0) for h in others] + [req.t_hat]
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +266,11 @@ def ell_class_betas(cid: str, dim: int, part: sd.ResonancePartition, ell: int,
 def verify_sigma(req: DecouplingRequest, res: DecouplingResult, dim_sim: int) -> float:
     """Measured norm of (Sigma - I) restricted to Y = Y_{4(m-1)}.
 
-    Sigma is built columnwise as exp(t_bar U) exp(-t_hat U_ell) through the
-    exact segment flows; the routine also checks the defining identity
-    exp(t_bar U) = exp(t_hat U_ell) Sigma on Y and that the measurement
-    never exceeds the certified bound.
+    Sigma is built columnwise as exp(t_bar U) exp(-P) through the exact
+    segment flows, with P = t_hat U_ell plus tau_h U_h for each (h, tau_h)
+    of ``req.offsets``; the routine also checks the defining identity
+    exp(t_bar U) = exp(P) Sigma on Y and that the measurement never
+    exceeds the certified bound.
     """
     m = req.m
     if dim_sim < 4 * (m + 1):
@@ -250,16 +284,20 @@ def verify_sigma(req: DecouplingRequest, res: DecouplingResult, dim_sim: int) ->
     cols[:ydim] = np.eye(ydim)
     _kernels.rotate_pairs(cols, pj, pk, betas_full, pt)  # exp(t_bar U)
     full_flow = cols.copy()
-    (lj, lk, lt), lbetas = ell_class_betas(req.id, dim_sim, part, req.ell, -req.t_hat)
-    _kernels.rotate_pairs(cols, lj, lk, lbetas, lt)  # exp(-t_hat U_ell)
+    # the planned class flows act on disjoint pairs, so they commute
+    planned = [ell_class_betas(req.id, dim_sim, part, h, -t)
+               for h, t in ((req.ell, req.t_hat), *req.offsets)]
+    for (lj, lk, lt), lbetas in planned:
+        _kernels.rotate_pairs(cols, lj, lk, lbetas, lt)  # exp(-P)
 
     sigma_minus_i = cols.copy()
     sigma_minus_i[:ydim] -= np.eye(ydim)
     measured = float(np.linalg.norm(sigma_minus_i, ord=2))
 
-    # identity check: exp(t_hat U_ell) Sigma == exp(t_bar U) on Y
+    # identity check: exp(P) Sigma == exp(t_bar U) on Y
     recomposed = cols.copy()
-    _kernels.rotate_pairs(recomposed, lj, lk, -lbetas, lt)
+    for (lj, lk, lt), lbetas in planned:
+        _kernels.rotate_pairs(recomposed, lj, lk, -lbetas, lt)
     ident_err = float(np.linalg.norm(recomposed - full_flow, ord=2))
     if ident_err > 1e-10:
         raise InternalConsistencyError(

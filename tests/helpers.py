@@ -253,54 +253,48 @@ _BLOCK = 1 << 15
 def block_scan(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
     """``_kernels.scan_decoupling``'s contract, testing every s in [s0, s1).
 
-    With thr = max(eps, best_bound), a thr < 2 screens each nonzero
-    frequency without a sin: 2|sin(x)| < thr needs y = (w/pi)*half within
-    asin(thr/2)/pi of an integer, up to a margin of a few ulps of the
-    block's largest |y| and of 1, and a relative 2^-40 on thr/2.  The class
-    terms are then added in class order where the running sum is below thr.
-    A block's best tightens thr for the later blocks.
+    ``t_hat`` is one phase for every class or one per class, as in the
+    kernel: class h's half angle is 0.5 * (t_h + step * s).  With thr =
+    max(eps, best_bound), a thr < 2 screens each nonzero frequency without
+    a sin: 2|sin(x)| < thr needs y = (w/pi)*half within asin(thr/2)/pi of
+    an integer, up to a margin of a few ulps of the block's largest |y| and
+    of 1, and a relative 2^-40 on thr/2.  The class terms are then added in
+    class order where the running sum is below thr.  A block's best
+    tightens thr for the later blocks.
     """
-    classes = [(lo, hi) for lo, hi in zip(cls_ptr[:-1], cls_ptr[1:]) if np.any(w[lo:hi])]
-    w_pi = w[w != 0.0] / np.pi
-    work = np.empty((4, min(_BLOCK, s1 - s0)))
-    work[0] = np.arange(work.shape[1])
+    n = len(cls_ptr) - 1
+    phases = [float(t) for t in t_hat] if np.ndim(t_hat) else [float(t_hat)] * n
+    classes = [(lo, hi, phases[c]) for c, (lo, hi) in enumerate(zip(cls_ptr[:-1], cls_ptr[1:]))
+               if np.any(w[lo:hi])]
     cand = -1
     for b0 in range(s0, s1, _BLOCK):
-        hit, best_s, best_bound = _scan_block(t_hat, step, w, classes, w_pi, eps, b0,
-                                              min(b0 + _BLOCK, s1), best_s, best_bound,
-                                              work)
+        hit, best_s, best_bound = _scan_block(step, w, classes, eps, b0, min(b0 + _BLOCK, s1),
+                                              best_s, best_bound)
         if cand < 0:
             cand = hit
     return cand, best_s, best_bound
 
 
-def _scan_block(t_hat, step, w, classes, w_pi, eps, s0, s1, best_s, best_bound, work):
-    offsets, half, y, r = work[:, :s1 - s0]
-    np.add(offsets, float(s0), out=half)  # exact: s < 2**53
-    half *= step
-    half += t_hat
-    half *= 0.5  # 0.5 * (t_hat + step * s), rounded the same way
+def _scan_block(step, w, classes, eps, s0, s1, best_s, best_bound):
+    steps = (np.arange(s1 - s0, dtype=np.float64) + float(s0)) * step  # exact: s < 2**53
+    half = {t: 0.5 * (t + steps) for _, _, t in classes}  # rounded as the kernel rounds
     thr = max(eps, best_bound)
     idx = None  # survivors as positions in the block; None means all
     if thr < 2.0:
         a = math.asin(min(1.0, 0.5 * thr * (1.0 + 2.0**-40))) / math.pi
-        hmax = max(abs(float(half[0])), abs(float(half[-1])))
-        for wj in w_pi:
-            tol = a + _SCREEN_ULPS * _EPS64 * (abs(float(wj)) * hmax + 1.0)
-            if idx is None:
-                np.multiply(half, wj, out=y)
-                np.rint(y, out=r)
-                y -= r
-                idx = np.flatnonzero(np.abs(y, out=y) < tol)
-            else:
-                z = wj * half[idx]
+        for lo, hi, t in classes:
+            hmax = max(abs(float(half[t][0])), abs(float(half[t][-1])))
+            for wj in w[lo:hi][w[lo:hi] != 0.0] / np.pi:
+                tol = a + _SCREEN_ULPS * _EPS64 * (abs(float(wj)) * hmax + 1.0)
+                z = wj * (half[t] if idx is None else half[t][idx])
                 z -= np.rint(z)
-                idx = idx[np.abs(z, out=z) < tol]
+                keep = np.abs(z) < tol
+                idx = np.flatnonzero(keep) if idx is None else idx[keep]
     if idx is None:
-        idx = np.arange(len(half))
-    h = half[idx]
-    tot = np.zeros_like(h)
-    for lo, hi in classes:
+        idx = np.arange(s1 - s0)
+    tot = np.zeros(len(idx))
+    for lo, hi, t in classes:
+        h = half[t][idx]
         if hi - lo == 1:
             m = np.abs(np.sin(w[lo] * h))
         else:
@@ -308,7 +302,7 @@ def _scan_block(t_hat, step, w, classes, w_pi, eps, s0, s1, best_s, best_bound, 
         tot += 2.0 * m
         keep = tot < thr
         if not keep.all():
-            idx, h, tot = idx[keep], h[keep], tot[keep]
+            idx, tot = idx[keep], tot[keep]
     if len(tot) == 0:
         return -1, best_s, best_bound
     i = int(np.argmin(tot))

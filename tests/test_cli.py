@@ -449,6 +449,48 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert args.seed == 1234
 
 
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for m in ("4", "6", "1"):
+        run(["classes", "--m", m, "--output-dir", str(tmp_path)])
+    assert len(built) == 1
+
+
+def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
+    # the parser is built once, but the --seed default follows the variable
+    for seed in ("11", "12"):
+        monkeypatch.setenv(cli.SEED_ENV, seed)
+        out = tmp_path / seed
+        assert run(["plan", "--n", "3", "--budget", "2", "--output-dir", str(out)]) in (0, 3)
+        assert json.loads((out / "plan.json").read_text())["config"]["seed"] == int(seed)
+    monkeypatch.delenv(cli.SEED_ENV)
+    assert run(["plan", "--n", "3", "--budget", "2", "--output-dir", str(tmp_path / "0")]) in (0, 3)
+    assert json.loads((tmp_path / "0" / "plan.json").read_text())["config"]["seed"] == 0
+
+
+def test_config_call_leaks_nothing_into_the_next_call(tmp_path, capsys):
+    # --config sets defaults and drops required flags on its own parser only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 10, "seed": 99}))
+    assert run(["classes", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    assert run(["classes", "--output-dir", str(tmp_path)]) == 2
+    assert "--m" in capsys.readouterr().err
+    assert run(["plan", "--config", str(cfg), "--n", "3", "--budget", "2",
+                "--output-dir", str(tmp_path / "a")]) in (0, 3)
+    assert json.loads((tmp_path / "a" / "plan.json").read_text())["config"]["seed"] == 99
+    assert run(["plan", "--n", "3", "--budget", "2", "--output-dir", str(tmp_path / "b")]) in (0, 3)
+    assert json.loads((tmp_path / "b" / "plan.json").read_text())["config"]["seed"] == \
+        cli._default_seed()
+
+
 def test_exit_codes_partition(tmp_path):
     # one representative invocation per exit code
     codes = {

@@ -10,6 +10,7 @@ from sideband_steer import cli
 from sideband_steer import lift_simulator as ls
 from sideband_steer import modal_planner as mp
 from sideband_steer import operator_core as oc
+from sideband_steer import torus_winding as tw
 from sideband_steer.errors import SearchExhaustedError
 
 
@@ -277,3 +278,132 @@ def test_eps_halving_regression_monotone():
 
 def test_iterated_approximation_budget():
     assert helpers.synthetic_tracking_violations(200, 16, 20, 0.01, seed=77) == 0
+
+
+# ---------------------------------------------------------------------------
+# one lifted segment per run of commuting class segments
+# ---------------------------------------------------------------------------
+
+
+def run_plan(p, coupling, classes, angles, before=(), after=()):
+    """A plan with one run of ``coupling``'s classes, between carriers."""
+    gamma, part, star = int(coupling[1]), coupling[0], coupling[2]
+    segs = [mp.PlanSegment(mp.GeneratorId("carrier", 1, "V"), np.sign(a), abs(a))
+            for a in before]
+    segs += [mp.PlanSegment(mp.GeneratorId("sideband", gamma, part, star, j),
+                            np.sign(a), abs(a)) for j, a in zip(classes, angles)]
+    segs += [mp.PlanSegment(mp.GeneratorId("carrier", 2, "W"), np.sign(a), abs(a))
+             for a in after]
+    return mp.Plan(p=p, M=1.0, seed=0, target_error=1, achieved_error=0.0, segments=segs)
+
+
+def test_sideband_runs_split_on_coupling_class_and_carrier():
+    side = [mp.GeneratorId("sideband", 1, "V", "r", j) for j in (2, 3)]
+    other = mp.GeneratorId("sideband", 1, "W", "r", 2)
+    carrier = mp.GeneratorId("carrier", 1, "V")
+    gens = [side[0], side[1], side[0], carrier, side[1], other, side[1], side[0]]
+    plan = mp.Plan(p=3, M=1.0, seed=0, target_error=1, achieved_error=0.0,
+                   segments=[mp.PlanSegment(g, 1.0, 0.5) for g in gens])
+    assert ls.sideband_runs(plan) == [[0, 1], [2], [4], [5], [6, 7]]
+    lp = ls.lift_plan(plan, eps=0.5)
+    assert [s.origin for s in lp.segments] == [0, 2, 3, 4, 5, 6]
+    assert lp.dim_sim == 4 * (3 + 5 + 1)
+
+
+def test_default_schedule_pairs_every_sideband_at_p3():
+    # the planner lists the nonzero classes of one coupling back to back
+    gens = mp.default_generator_ids(3)
+    plan = mp.Plan(p=3, M=1.0, seed=0, target_error=1, achieved_error=0.0,
+                   segments=[mp.PlanSegment(g, 1.0, 0.5) for g in gens * 2])
+    runs = ls.sideband_runs(plan)
+    assert all(len(r) == 2 for r in runs)
+    assert len(runs) == sum(g.kind == "sideband" for g in gens)
+
+
+def test_runs_of_one_lift_as_single_segment_searches():
+    # with a carrier after every sideband segment, every lifted segment is
+    # the single-segment search of its plan segment
+    carrier = mp.PlanSegment(mp.GeneratorId("carrier", 1, "W"), 1.0, 0.3)
+    plan = mixed_plan(3, seed=27, nseg=10)
+    plan.segments = [s for seg in plan.segments for s in (seg, carrier)]
+    assert all(len(r) == 1 for r in ls.sideband_runs(plan))
+    lp = ls.lift_plan(plan, eps=0.2)
+    n_side = len(ls.sideband_runs(plan))
+    for seg in lp.segments:
+        if not seg.is_sideband:
+            continue
+        src = plan.segments[seg.origin]
+        want = tw.find_decoupling_time(tw.DecouplingRequest(
+            id=src.generator.coupling, m=4, ell=src.generator.class_index,
+            t_hat=src.angle, eps=0.2 / n_side))
+        assert (seg.s, seg.t_hat, seg.nu_kernel, seg.predicted_error) == \
+            (want.s, want.t_hat, want.nu_kernel, want.bound)
+
+
+@pytest.mark.parametrize("p,coupling,classes,eps", [
+    (3, "V1r", (2, 3), 0.3), (3, "W2b", (3, 2), 0.3),
+    (5, "V2r", (2, 4), 0.5), (5, "W1b", (3, 2, 4), 0.8), (5, "V1b", (4, 3, 2), 0.8),
+])
+def test_run_lift_bounds_the_dense_deviation(p, coupling, classes, eps):
+    # ||(exp(t_bar X) - exp(sum_h t_h U_h))|_Y|| from dense exponentials is
+    # below the lifted segment's certificate
+    rng = np.random.default_rng([p, *classes])
+    angles = [float(rng.uniform(0.3, 1.5)) * rng.choice([-1, 1]) for _ in classes]
+    plan = run_plan(p, coupling, classes, angles)
+    assert ls.sideband_runs(plan) == [list(range(len(classes)))]
+    lp = ls.lift_plan(plan, eps=eps)
+    (seg,) = lp.segments
+    assert seg.origin == 0 and seg.t_hat == angles[0]
+    dim, ydim = lp.dim_sim, 4 * p
+    t_bar = seg.t_hat + 2 * np.pi * seg.s / np.sqrt(seg.nu_kernel)
+    lifted = expm(t_bar * helpers.dense(oc.truncate(coupling, dim)))
+    modal = expm(sum(s.angle * helpers.dense(mp.build_generator_operator(s.generator, p))
+                     for s in plan.segments))
+    diff = lifted[:, :ydim].copy()
+    diff[:ydim] -= modal
+    deviation = float(np.linalg.norm(diff, ord=2))
+    # a float t_bar costs the dense reference ~|t_bar| ulps of phase
+    assert deviation <= seg.predicted_error + 1e-9 * max(1.0, abs(t_bar))
+    assert deviation > 0.1 * seg.predicted_error
+    # and the exact lifted simulation agrees with the dense flow on Y
+    phi0 = oc.random_state(ydim, rng)
+    pad = np.zeros(dim, dtype=complex)
+    pad[:ydim] = phi0
+    assert np.max(np.abs(ls.simulate_lifted(lp, phi0)[0][-1] - lifted @ pad)) < \
+        1e-9 * max(1.0, abs(t_bar))
+
+
+def test_run_e2e_merges_runs_and_simulates_the_modal_plan_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(plan, phi0):
+        calls.append(len(plan.segments))
+        return simulate_plan_modal(plan, phi0)
+
+    simulate_plan_modal = mp.simulate_plan_modal
+    monkeypatch.setattr(mp, "simulate_plan_modal", counted)
+    monkeypatch.setattr(ls, "simulate_plan_modal", counted)
+    assert cli.main(["run-e2e", "--n", "3", "--eps", "0.1", "--phi0", "e1", "--phiT", "e5",
+                     "--seed", "7", "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    plan = mp.Plan.from_json(json.loads((tmp_path / "plan.json").read_text()))
+    lifted = json.loads((tmp_path / "lifted_plan.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    runs = ls.sideband_runs(plan)
+    sides = [s for s in lifted["segments"] if s["s"] is not None]
+    assert [s["origin"] for s in sides] == [r[0] for r in runs]
+    # each run at p = 3 holds both nonzero classes of its coupling
+    assert 2 * len(runs) == sum(s.generator.kind == "sideband" for s in plan.segments)
+    assert lifted["dim_sim"] == 4 * (plan.p + len(runs) + 1)
+    assert summary["verdict"] and summary["lifting_error"] <= summary["total_predicted_error"]
+    assert sum(s["s"] for s in sides) <= 10**8
+
+
+def test_error_report_takes_the_modal_final_state():
+    plan = mixed_plan(3, seed=28, nseg=8)
+    phi0 = oc.random_state(12, np.random.default_rng(28))
+    modal = mp.simulate_plan_modal(plan, phi0)[-1]
+    lp = ls.lift_plan(plan, eps=0.2)
+    simulated = ls.simulate_lifted(lp, phi0)
+    assert ls.error_report(plan, lp, phi0, modal, simulated, modal) == \
+        ls.error_report(plan, lp, phi0, modal, simulated)

@@ -543,6 +543,17 @@ def test_verify_sigma_random(seed):
     assert res.bound < 0.1
 
 
+@pytest.mark.parametrize("m,ell,offsets", [(4, 2, ((3, -0.7),)), (4, 3, ((2, 1.2),)),
+                                           (6, 3, ((2, 0.4), (4, -1.1)))])
+def test_verify_sigma_of_a_run(m, ell, offsets):
+    # Sigma = exp(t_bar U) exp(-t_hat U_ell - sum tau_h U_h) is within the
+    # run's certificate of the identity on Y
+    req = tw.DecouplingRequest(id="W2r", m=m, ell=ell, t_hat=0.9, eps=0.3, offsets=offsets)
+    res = tw.find_decoupling_time(req)
+    measured = tw.verify_sigma(req, res, dim_sim=4 * (m + 1))
+    assert 0.0 < measured <= res.bound + 1e-10
+
+
 def test_verify_sigma_dim_check():
     req = tw.DecouplingRequest(id="V1r", m=4, ell=2, t_hat=0.0, eps=0.1)
     res = tw.find_decoupling_time(req)
@@ -574,3 +585,131 @@ def test_density_backstop_p7():
     req = tw.DecouplingRequest(id="V1r", m=8, ell=2, t_hat=1.37, eps=0.05,
                                s_max=10**7)
     tw.find_decoupling_time(req)
+
+
+# ---------------------------------------------------------------------------
+# lifted runs: per-class phase offsets
+# ---------------------------------------------------------------------------
+
+
+def _offset_phases(m, ell, t_hat, offsets):
+    """t_hat - tau_h for classes h != ell in order, then the omega_m term."""
+    tau = dict(offsets)
+    count = sd.resonance_partition(m).count
+    return [t_hat - tau.get(h, 0.0) for h in range(1, count + 1) if h != ell] + [t_hat]
+
+
+def offset_bound(m, ell, t_hat, offsets, s):
+    """Test-local exact oracle of a run's certificate at one index:
+    sum over classes of max 2|sin(delta/2)|, delta the residual of
+    sqrt(r) * (t_hat - tau_h + 2*pi*s/sqrt(nu))."""
+    members, nu_kernel = tw._torus_data(m, ell)
+    total = 0.0
+    for rads, t in zip(members, _offset_phases(m, ell, t_hat, offsets)):
+        total += max(2.0 * abs(math.sin(0.5 * scalar_residual(r, nu_kernel, s, t)))
+                     for r in rads)
+    return total
+
+
+def _random_run(rng, m):
+    """(ell, offsets): a run of two or more nonzero classes at order m."""
+    count = sd.resonance_partition(m).count
+    classes = [int(h) for h in rng.permutation(np.arange(2, count + 1))]
+    size = int(rng.integers(2, len(classes) + 1))
+    return classes[0], tuple((h, float(rng.uniform(-2, 2))) for h in classes[1:size])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_kernel_with_offsets_matches_block_scan(seed):
+    # one phase per class: the kernel's enumeration returns what testing
+    # every index returns, near s = 0 and far out
+    rng = np.random.default_rng([seed, 17])
+    for s_base in (0, 10**6, 10**10):
+        m = int(rng.choice([4, 6, 8]))
+        ell, offsets = _random_run(rng, m)
+        members, nu_kernel = tw._torus_data(m, ell)
+        w, cls_ptr = _scan_arrays(members)
+        step = 2 * np.pi / np.sqrt(nu_kernel)
+        phases = _offset_phases(m, ell, float(rng.uniform(-5, 5)), offsets)
+        s0 = s_base + int(rng.integers(0, 10**5))
+        s1 = s0 + int(rng.integers(10**4, 3 * 10**5))
+        for eps, best_bound in ((float(rng.uniform(0.05, 0.5)), math.inf),
+                                (0.01, float(rng.uniform(0.2, 1.0))),
+                                (2.5, 3.0)):
+            best_s = -1 if best_bound == math.inf else 7
+            _assert_scan_matches((phases, step, w, cls_ptr, eps, s0, s1, best_s, best_bound),
+                                 oracle=helpers.block_scan)
+
+
+@pytest.mark.parametrize("m,seed", [(4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (6, 2)])
+def test_run_search_returns_the_smallest_qualifying_s(m, seed):
+    # every index whose exact bound is below eps has a float bound below
+    # eps + 1e-9 at these sizes, so the per-index scan offers each of them;
+    # the first one the exact oracle accepts is the search's s
+    rng = np.random.default_rng([seed, m])
+    ell, offsets = _random_run(rng, m)
+    t_hat = float(rng.uniform(-5, 5))
+    eps = 0.15 if m == 4 else 0.3
+    req = tw.DecouplingRequest(id="V2b", m=m, ell=ell, t_hat=t_hat, eps=eps,
+                               s_max=10**7, offsets=offsets)
+    res = tw.find_decoupling_time(req)
+    assert res.bound < eps
+    assert res.bound == pytest.approx(offset_bound(m, ell, t_hat, offsets, res.s), abs=1e-12)
+    members, nu_kernel = tw._torus_data(m, ell)
+    w, cls_ptr = _scan_arrays(members)
+    step = 2 * np.pi / np.sqrt(nu_kernel)
+    phases = _offset_phases(m, ell, t_hat, offsets)
+    s = 0
+    while True:
+        cand = helpers.block_scan(phases, step, w, cls_ptr, eps + 1e-9, s, res.s + 1,
+                                  -1, math.inf)[0]
+        assert cand >= 0
+        if offset_bound(m, ell, t_hat, offsets, cand) < eps:
+            break
+        s = cand + 1
+    assert cand == res.s
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_zero_offsets_give_the_scalar_bits(m):
+    # t_hat - 0.0 == t_hat: a request whose offsets are all 0.0, the kernel
+    # fed one phase per class and the exact evaluator alike give the bits
+    # of the plain call
+    rng = np.random.default_rng(m)
+    count = sd.resonance_partition(m).count
+    for ell in range(2, count + 1):
+        t_hat = float(rng.uniform(-5, 5))
+        zeros = tuple((h, 0.0) for h in range(1, count + 1) if h != ell)
+        for eps, s_max in ((0.1, 10**7), (1e-4, 10**5)):
+            plain = tw.DecouplingRequest(id="W1r", m=m, ell=ell, t_hat=t_hat, eps=eps,
+                                         s_max=s_max)
+            runs = dataclasses.replace(plain, offsets=zeros)
+            try:
+                want = tw.find_decoupling_time(plain)
+            except SearchExhaustedError as exc:
+                with pytest.raises(SearchExhaustedError) as got:
+                    tw.find_decoupling_time(runs)
+                assert (got.value.best_s, _bits(got.value.best_bound)) == \
+                    (exc.best_s, _bits(exc.best_bound))
+            else:
+                got = tw.find_decoupling_time(runs)
+                assert got == want
+                assert _bits(got.per_class_error).tolist() == _bits(want.per_class_error).tolist()
+        members, nu_kernel = tw._torus_data(m, ell)
+        w, cls_ptr = _scan_arrays(members)
+        step = 2 * np.pi / np.sqrt(nu_kernel)
+        args = (step, w, cls_ptr, 0.2, 10**6, 10**6 + 50000, -1, math.inf)
+        assert _kernels.scan_decoupling([t_hat - 0.0] * len(members), *args) == \
+            _kernels.scan_decoupling(t_hat, *args)
+        grid = [0, 17, 10**9 + 3]
+        for a, b in zip(tw._exact_batch(members, nu_kernel, grid, [t_hat - 0.0] * len(members)),
+                        tw._exact_batch(members, nu_kernel, grid, t_hat)):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("offsets", [((2, 0.5),), ((3, 0.5), (3, 0.1)), ((9, 0.5),),
+                                     ((3, math.nan),), ((0, 0.5),)])
+def test_bad_offsets_rejected(offsets):
+    req = tw.DecouplingRequest(id="V1r", m=4, ell=2, t_hat=1.0, eps=0.1, offsets=offsets)
+    with pytest.raises(ValueError):
+        tw.find_decoupling_time(req)
