@@ -2,8 +2,8 @@
 
 Three kernels carry the numeric load: pair rotations (every segment flow),
 the decoupling-time scan (every winding search) and the planner's
-objective with its adjoint gradient (every L-BFGS evaluation).  Each has
-exactly one implementation.  The scan does not test every winding index:
+residual with its Jacobian (every Levenberg-Marquardt evaluation).  Each
+has exactly one implementation.  The scan does not test every winding index:
 it enumerates, as lattice points, the indices whose float bound could be
 small enough, and evaluates the bound on those alone.
 
@@ -11,11 +11,10 @@ All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
 a bundle of independent 2x2 rotations, never a dense matrix exponential.
 ``rotate_pairs`` applies them to a state or to a block of columns alike.
-The objective scatters the same 2x2 rotation entries into a dense stack
-of small propagators, one per segment, so that each sweep step is a
-single mat-vec (forward on the state, backward on the conjugated adjoint
-as a row vector) and the gradient is one batched contraction over all
-pairs.
+The planner kernel scatters the same 2x2 rotation entries into a dense
+stack of small propagators, one per segment: the forward sweep is one
+mat-vec per segment, and the backward sweep that builds the Jacobian one
+small matrix product per segment.
 """
 
 from __future__ import annotations
@@ -114,7 +113,9 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # window is shorter than _ENUM_MIN, every s is evaluated, _BLOCK steps at a
 # time.  Otherwise a piece holds about _ENUM_POINTS expected lattice points,
 # so memory follows the survivors.  Pieces run in order; a piece's best
-# tightens thr for the next ones.
+# tightens thr for the next ones.  Input the screen cannot take (a frequency
+# that is not sqrt(r), a step that is not 2*pi/sqrt(nu), a non-finite phase)
+# is refused with ValueError.
 # ---------------------------------------------------------------------------
 
 _SQRT_DIGITS = 44
@@ -199,9 +200,10 @@ def _classes(w_bytes, cls_ptr, step):
     """(classes, index, reps, alphas): the (lo, hi) of the classes with a
     nonzero frequency, their positions among all classes, each one's
     smallest nonzero frequency, and (den, q, irrational): alpha_j = q_j/den
-    for the irrational alphas, and which alphas are irrational.  alphas is
-    None unless every rep is sqrt(r), step is 2*pi/sqrt(nu) for integers r,
-    nu, and every rational alpha is an integer."""
+    for the irrational alphas, and which alphas are irrational.  Refuses
+    what the screen cannot take: a rep that is not sqrt(r), a step that is
+    not 2*pi/sqrt(nu) for integers r, nu, or a rational alpha that is not
+    an integer."""
     w = np.frombuffer(w_bytes)
     index = tuple(k for k, (lo, hi) in enumerate(zip(cls_ptr[:-1], cls_ptr[1:]))
                   if np.any(w[lo:hi]))
@@ -209,18 +211,18 @@ def _classes(w_bytes, cls_ptr, step):
     reps = tuple(float(np.min(w[lo:hi][w[lo:hi] != 0.0])) for lo, hi in classes)
     nu = round((2.0 * math.pi / step) ** 2) if step > 0.0 else 0
     if nu < 1 or 2.0 * math.pi / math.sqrt(nu) != step:
-        return classes, index, reps, None
+        raise ValueError(f"step {step!r} is not 2*pi/sqrt(nu) for an integer nu")
     den = nu * 10**_SQRT_DIGITS
     qs, irrational = [], []
     for wj in reps:
         r = round(wj * wj)
         if not (r >= 1 and math.sqrt(r) == wj):
-            return classes, index, reps, None
+            raise ValueError(f"frequency {wj!r} is not the square root of an integer")
         irrational.append(isqrt(r * nu) ** 2 != r * nu)
         if irrational[-1]:
             qs.append(_sqrt_fixed(r * nu))
-        elif isqrt(r * nu) % nu:  # a rational alpha that is not an integer
-            return classes, index, reps, None
+        elif isqrt(r * nu) % nu:
+            raise ValueError(f"alpha = sqrt({r}/{nu}) is rational but not an integer")
     return classes, index, reps, (den, tuple(qs), tuple(irrational))
 
 
@@ -228,10 +230,9 @@ def _screen(phases, reps, alphas):
     """(wsum, den, q, beta, d_const): ``q`` and ``beta`` of the classes with
     an irrational alpha = q/den, the constant distances D of those with an
     integer alpha, and the sum of all their frequencies; ``phases`` holds
-    each class's t_h.  None where the screen does not apply: then every s
-    is evaluated."""
-    if alphas is None or not all(map(math.isfinite, phases)):
-        return None
+    each class's t_h, which must be finite."""
+    if not all(map(math.isfinite, phases)):
+        raise ValueError(f"non-finite class phase in {phases!r}")
     den, qs, irrational = alphas
     beta = [wj * tj / (2.0 * math.pi) for wj, tj in zip(reps, phases)]
     return (sum(reps), den, qs, [b for b, irr in zip(beta, irrational) if irr],
@@ -243,7 +244,7 @@ def _piece(screen, t_max, step, thr, p0, s1):
     indices in it whose bound can be below thr, None where all can.
     ``t_max`` is the largest |t_h| of the classes."""
     h = 0.5 * thr * (1.0 + 2.0**-40)
-    if screen is None or h >= 1.0:
+    if h >= 1.0:
         return min(s1, p0 + _BLOCK), None
     wsum, den, qs, beta, d_const = screen
     hmax = 0.5 * (t_max + step * (s1 - 1))
@@ -396,7 +397,7 @@ def _lll(rows, coords, delta=0.99, max_swaps=10_000):
 
 
 # ---------------------------------------------------------------------------
-# planner objective + adjoint gradient
+# planner residual + Jacobian
 #
 # Segment k is the flow U_k = exp(theta_k * S_k) of one disjoint-pair
 # operator (CSR layout seg_ptr / pj / pk / pc / pkind, rotation angle
@@ -404,17 +405,17 @@ def _lll(rows, coords, delta=0.99, max_swaps=10_000):
 # a dense (nseg, dim, dim) stack: the identity, with the same rotation
 # entries that rotate_pairs applies (_rotation) scattered into it.
 # Forward: phi_{k+1} = U_k phi_k, one mat-vec per segment.
-# Objective: f = ||phi_K - target||^2 summed componentwise (no cancellation,
-# so values down to ~1e-30 stay meaningful).
-# Backward, on the conjugated adjoint lam = conj(mu) as a row vector:
-# lam_K = conj(phi_K - target), lam_k = lam_{k+1} U_k (the same as
-# mu_k = U_k^dag mu_{k+1}, with no transposed copy of U_k).
-# Gradient, after the sweeps, in one gathered contraction over all pairs:
-# grad_k = 2 Re lam_{k+1} S_k phi_{k+1}, summed per segment.
+# Residual: r = phi_K - target.
+# Jacobian: S_k commutes with U_k, so d phi_K / d theta_k = P_{k+1} S_k phi_{k+1}
+# with P_{k+1} = U_{K-1} ... U_{k+1} the flow of the later segments.  P starts
+# at the identity and is accumulated backward, P_k = P_{k+1} U_k, one small
+# matrix product per segment.
 # ---------------------------------------------------------------------------
 
 
 def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
+    """(r, J): the residual phi_K - target and its complex (dim, nseg)
+    Jacobian in the segment angles."""
     nseg = len(thetas)
     dim = phi0.shape[0]
     seg = np.repeat(np.arange(nseg), np.diff(seg_ptr))
@@ -429,16 +430,17 @@ def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     phi[0] = phi0
     for k in range(nseg):
         np.dot(u[k], phi[k], out=phi[k + 1])
-    mu = phi[nseg] - target
-    f = float(np.sum(mu.real**2 + mu.imag**2))
-    lam = np.empty((nseg + 1, dim), dtype=np.complex128)
-    lam[nseg] = mu.conj()
-    for k in range(nseg - 1, -1, -1):
-        np.dot(lam[k + 1], u[k], out=lam[k])
-    # S_k phi is cj * phi[pk] at pj and ck * phi[pj] at pk
+    # S_k phi_{k+1} is cj * phi[pk] at pj and ck * phi[pj] at pk
     e = pkind == 0
-    cj = np.where(e, 1j * pc, pc)
-    ck = np.where(e, 1j * pc, -pc)
     after = seg + 1
-    terms = (lam[after, pj] * cj * phi[after, pk] + lam[after, pk] * ck * phi[after, pj]).real
-    return f, 2.0 * np.bincount(seg, weights=terms, minlength=nseg)
+    sphi = np.zeros((nseg, dim), dtype=np.complex128)
+    sphi[seg, pj] = np.where(e, 1j * pc, pc) * phi[after, pk]
+    sphi[seg, pk] = np.where(e, 1j * pc, -pc) * phi[after, pj]
+    jac = np.empty((nseg, dim), dtype=np.complex128)
+    prod = np.eye(dim, dtype=np.complex128)
+    nxt = np.empty_like(prod)
+    for k in range(nseg - 1, -1, -1):
+        np.dot(prod, sphi[k], out=jac[k])
+        np.dot(prod, u[k], out=nxt)
+        prod, nxt = nxt, prod
+    return phi[nseg] - target, jac.T

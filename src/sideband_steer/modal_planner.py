@@ -1,9 +1,11 @@
 """Piecewise-constant steering inside the decoupled modal truncation.
 
 Planning is direct multi-start optimization: a fixed cyclic schedule over
-the available single generators, one signed angle per segment, exact
-adjoint gradients through the closed-form segment flows, and an in-house
-L-BFGS (two-loop recursion, strong-Wolfe line search; :func:`minimize`).
+the available single generators, one signed angle per segment, and
+Levenberg-Marquardt on the residual phi_K - phiT (:func:`minimize`), with
+its exact Jacobian through the closed-form segment flows.  The schedule
+has more angles than the transfer has real equations, so the residual
+can reach zero and the damped Gauss-Newton steps converge quadratically.
 Segment angles factor on output as amplitude = +-M, duration = |angle|/M,
 so every returned segment respects the control bound with the shortest
 possible duration.
@@ -197,10 +199,11 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
                   budget: int = DEFAULT_BUDGET, family: str = "full") -> Plan:
     """Steer phi0 to phiT in the order-p decoupled modal truncation.
 
-    Multi-start L-BFGS over segment angles on a cyclic generator schedule
-    whose length grows across restarts; stops as soon as the L2 error
-    drops below eps_plan or the iteration budget runs out (the best plan
-    found is returned either way, with its honest achieved error).
+    Multi-start Levenberg-Marquardt over segment angles on a cyclic
+    generator schedule whose length grows across restarts; stops as soon
+    as the L2 error drops below eps_plan or the evaluation budget runs out
+    (the best plan found is returned either way, with its honest achieved
+    error).
     """
     if p < 3 or not sd.is_prime(p):
         raise ValueError("planning order p must be a prime >= 3")
@@ -232,8 +235,9 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
         theta0 = rng.normal(0.0, 0.5, size=len(prog.ptr) - 1)
 
         def fun(th):
-            return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj,
-                                           prog.pk, prog.coeff, prog.kind)
+            r, jac = _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj,
+                                             prog.pk, prog.coeff, prog.kind)
+            return np.concatenate((r.real, r.imag)), np.concatenate((jac.real, jac.imag))
 
         res = minimize(fun, theta0, maxiter=min(800, iters_left))
         iters_left -= max(res.nit, 1)
@@ -270,19 +274,19 @@ def _cycle_schedule(ngens: int, dim: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# L-BFGS: two-loop recursion (Liu & Nocedal 1989) with a strong-Wolfe line
-# search (Nocedal & Wright, Numerical Optimization, Alg. 3.5 bracketing and
-# Alg. 3.6 zoom, cubic interpolation).  It stops after maxiter iterations,
-# when max|g| <= _GTOL, when an iteration lowers f by at most
-# _FTOL * max(|f_k|, |f_k+1|, 1), or when a line search from steepest
-# descent finds no lower point in _MAXLS evaluations.
+# Levenberg-Marquardt on the residual (Levenberg 1944, Marquardt 1963).  The
+# transfer has more angles than real equations, so each step is the
+# minimum-norm damped Gauss-Newton step -J^T (J J^T + mu I)^-1 r, one solve
+# of the size of r, with mu = lam * mean diag(J J^T).  lam falls tenfold
+# after a step that lowers f = |r|^2, to no less than _LAMBDA_MIN, so that
+# the damped matrix stays well conditioned where J J^T is singular, and
+# rises tenfold after a step that does not.  It stops after maxiter
+# evaluations, at f == 0, when a step moves f by at most _FTOL * max(f, 1)
+# either way (at the rounding floor), or when lam passes _LAMBDA_MAX.
 # ---------------------------------------------------------------------------
 
-_MEMORY = 30
 _FTOL = 1e-22
-_GTOL = 1e-14
-_MAXLS = 20
-_C1, _C2 = 1e-4, 0.9  # sufficient decrease and curvature constants
+_LAMBDA_MIN, _LAMBDA_MAX = 1e-9, 1e10
 
 
 class MinimizeResult(NamedTuple):
@@ -292,87 +296,32 @@ class MinimizeResult(NamedTuple):
 
 
 def minimize(fun, x0, maxiter: int) -> MinimizeResult:
-    """Minimize ``fun(x) -> (f, grad)`` from ``x0`` by L-BFGS."""
+    """Minimize f = |r|^2 from ``x0`` by Levenberg-Marquardt, where
+    ``fun(x) -> (r, J)`` gives the real residual and its Jacobian.  ``nit``
+    counts the evaluations after the first."""
     x = np.array(x0, dtype=np.float64)
-    f, g = fun(x)
-    mem = []  # (s, y, 1 / s.y) of the last _MEMORY steps, oldest first
+    r, jac = fun(x)
+    f = float(r @ r)
+    lam = 1e-3
     nit = 0
-    while nit < maxiter and np.max(np.abs(g), initial=0.0) > _GTOL:
-        d = -g
-        alphas = []
-        for s, y, rho in reversed(mem):
-            alphas.append(rho * (s @ d))
-            d -= alphas[-1] * y
-        if mem:
-            s, y, rho = mem[-1]
-            d *= 1.0 / (rho * (y @ y))
-        for (s, y, rho), a in zip(mem, reversed(alphas)):
-            d += (a - rho * (y @ d)) * s
-        step = _line_search(fun, x, f, g, d, 1.0 if mem else 1.0 / np.linalg.norm(g))
-        if step is None:
-            if not mem:
-                break
-            mem.clear()  # retry once from steepest descent
-            continue
-        x_new, f_new, g_new = step
+    while nit < maxiter and f > 0.0 and lam <= _LAMBDA_MAX:
+        jjt = jac @ jac.T
+        # the mean of diag(J J^T) sets the damping's scale; J = 0 gives 1
+        mu = lam * (np.trace(jjt) / len(r) or 1.0)
+        jjt[np.diag_indices_from(jjt)] += mu
+        x_new = x - jac.T @ np.linalg.solve(jjt, r)
+        r_new, jac_new = fun(x_new)
         nit += 1
-        s, y = x_new - x, g_new - g
-        sy = s @ y
-        if sy > np.finfo(np.float64).eps * (y @ y):
-            if len(mem) == _MEMORY:
-                del mem[0]
-            mem.append((s, y, 1.0 / sy))
-        stalled = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
-        x, f, g = x_new, f_new, g_new
+        f_new = float(r_new @ r_new)
+        stalled = abs(f - f_new) <= _FTOL * max(f, 1.0)
+        if f_new < f:
+            x, r, jac, f = x_new, r_new, jac_new, f_new
+            lam = max(lam / 10.0, _LAMBDA_MIN)
+        else:
+            lam *= 10.0
         if stalled:
             break
     return MinimizeResult(x, f, nit)
-
-
-def _line_search(fun, x, f0, g0, d, a):
-    """A strong-Wolfe step ``(x, f, g)`` along ``d`` from trial step ``a``.
-
-    Falls back to the lowest sufficient-decrease point seen after _MAXLS
-    evaluations, and returns None if there is none or ``d`` is not a
-    descent direction.
-    """
-    dg0 = g0 @ d
-    if not dg0 < 0:
-        return None
-    lo, hi = (0.0, f0, dg0, x, g0), None  # (step, f, slope, x, g)
-    for _ in range(_MAXLS):
-        xa = x + a * d
-        fa, ga = fun(xa)
-        new = (a, fa, ga @ d, xa, ga)
-        if fa > f0 + _C1 * a * dg0 or fa >= lo[1]:
-            hi = new
-        elif abs(new[2]) <= -_C2 * dg0:
-            return xa, fa, ga
-        elif hi is None and new[2] < 0:
-            lo = new  # still descending: extrapolate
-            a *= 4.0
-            continue
-        else:
-            if hi is None or new[2] * (hi[0] - a) >= 0:
-                hi = lo
-            lo = new
-        a = _cubic_step(lo, hi)
-    return (lo[3], lo[1], lo[4]) if lo[0] > 0 else None
-
-
-def _cubic_step(lo, hi) -> float:
-    """Minimizer of the cubic through both ends, kept in the middle 80%."""
-    a, fa, da = lo[:3]
-    b, fb, db = hi[:3]
-    left, width = min(a, b), abs(b - a)
-    d1 = da + db - 3.0 * (fa - fb) / (a - b) if width else math.nan
-    rad = d1 * d1 - da * db
-    if rad >= 0:
-        d2 = math.copysign(math.sqrt(rad), b - a)
-        t = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
-        if math.isfinite(t) and left + 0.1 * width <= t <= left + 0.9 * width:
-            return t
-    return 0.5 * (a + b)
 
 
 def simulate_plan_modal(plan: Plan, phi0: np.ndarray) -> np.ndarray:

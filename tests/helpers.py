@@ -11,10 +11,10 @@ list into the dense matrix that the float oracles compare against, and
 exact Lie certificate.  ``segment_flow`` is one segment of the
 runtime ``SegmentProgram`` path that both simulators use,
 ``basis_split`` inverts the runtime ``operator_core.basis_index``,
-``gradient_check`` compares the planner's adjoint gradient with central
-differences, and ``block_scan`` is the decoupling scan that tests every
-winding index, with the per-frequency screen the kernel used before it
-enumerated the survivors.
+``gradient_check`` compares the gradient derived from the planner
+kernel's Jacobian with central differences, and ``block_scan`` is the
+decoupling scan that tests every winding index, with the per-frequency
+screen the kernel used before it enumerated the survivors.
 """
 
 import math
@@ -186,8 +186,9 @@ def segment_flow(cid, theta, phi, dim):
 
 
 def gradient_check(plan, phi0, phiT, step=1e-6):
-    """Adjoint gradient vs central differences; max discrepancy relative
-    to the gradient scale."""
+    """The gradient 2 Re(J^H r) of f = |r|^2, from the planner kernel's
+    residual and Jacobian, vs central differences of f; max discrepancy
+    relative to the gradient scale."""
     dim = 4 * plan.p
     phi0 = np.pad(oc.normalize(phi0), (0, dim - len(phi0)))
     phiT = np.pad(oc.normalize(phiT), (0, dim - len(phiT)))
@@ -195,8 +196,9 @@ def gradient_check(plan, phi0, phiT, step=1e-6):
     thetas = np.array([seg.angle for seg in plan.segments])
 
     def f_grad(th):
-        return _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
-                                       prog.coeff, prog.kind)
+        r, jac = _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
+                                         prog.coeff, prog.kind)
+        return float(np.sum(r.real**2 + r.imag**2)), 2.0 * (jac.conj().T @ r).real
 
     _, grad = f_grad(thetas)
     fd = np.empty_like(grad)

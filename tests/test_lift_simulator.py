@@ -396,7 +396,14 @@ def test_run_e2e_merges_runs_and_simulates_the_modal_plan_once(tmp_path, monkeyp
     assert 2 * len(runs) == sum(s.generator.kind == "sideband" for s in plan.segments)
     assert lifted["dim_sim"] == 4 * (plan.p + len(runs) + 1)
     assert summary["verdict"] and summary["lifting_error"] <= summary["total_predicted_error"]
-    assert sum(s["s"] for s in sides) <= 10**8
+    # merging pays: the same plan lifted one search per sideband segment, at
+    # the budget that gives each of them, winds at least four times as far
+    singles = [seg for seg in plan.segments if seg.generator.kind == "sideband"]
+    alone = sum(tw.find_decoupling_time(tw.DecouplingRequest(
+        id=seg.generator.coupling, m=plan.p + 1, ell=seg.generator.class_index,
+        t_hat=seg.angle, eps=lifted["eps"] / len(singles), s_max=10**9)).s
+        for seg in singles)
+    assert 4 * sum(s["s"] for s in sides) < alone
 
 
 def test_error_report_takes_the_modal_final_state():

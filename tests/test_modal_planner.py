@@ -207,6 +207,21 @@ def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     return f, grad
 
 
+def jacobian_column(thetas, states, k, seg_ptr, pj, pk, pc, pkind):
+    """d phi_K / d theta_k by pair rotations (the oracle): S_k phi_{k+1},
+    carried forward through the later segments."""
+    lo, hi = seg_ptr[k], seg_ptr[k + 1]
+    j, kk, c = pj[lo:hi], pk[lo:hi], pc[lo:hi]
+    e = pkind[lo:hi] == 0
+    col = np.zeros_like(states[k + 1])
+    col[j] = np.where(e, 1j * c, c) * states[k + 1][kk]
+    col[kk] = np.where(e, 1j * c, -c) * states[k + 1][j]
+    for m in range(k + 1, len(thetas)):
+        lo, hi = seg_ptr[m], seg_ptr[m + 1]
+        _kernels.rotate_pairs(col, pj[lo:hi], pk[lo:hi], thetas[m] * pc[lo:hi], pkind[lo:hi])
+    return col
+
+
 def _objective_programs():
     out = []
     for p in (3, 5, 7):
@@ -227,63 +242,115 @@ def test_objective_matches_pair_rotation_oracle(p, gens, cycles):
         phi0, phiT = oc.random_state(4 * p, rng), oc.random_state(4 * p, rng)
         thetas = rng.normal(0.0, 1.0, size=len(prog.ptr) - 1)
         args = (thetas, phi0, phiT, prog.ptr, prog.pj, prog.pk, prog.coeff, prog.kind)
-        f, grad = _kernels.objective_grad(*args)
+        r, jac = _kernels.objective_grad(*args)
+        f = float(np.sum(r.real**2 + r.imag**2))
+        grad = 2.0 * (jac.conj().T @ r).real
         f_ref, grad_ref = sparse_objective_grad(*args)
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
         assert grad.shape == grad_ref.shape
         assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
+        # every column on one cycle, a sample of them on the tiled programs
+        assert jac.shape == (4 * p, len(thetas))
+        cols = range(len(thetas)) if cycles == 1 else rng.choice(len(thetas), 8, replace=False)
+        states = prog.states(phi0, thetas)
+        for k in cols:
+            want = jacobian_column(thetas, states, k, *args[3:])
+            assert np.max(np.abs(jac[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
-# L-BFGS
+# Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
 
-def test_lbfgs_minimizes_a_convex_quadratic():
+def test_minimize_solves_a_linear_least_squares_problem():
     rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-    a = q @ np.diag(np.geomspace(1.0, 100.0, 12)) @ q.T
-    b = rng.normal(size=12)
-    res = mp.minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), np.zeros(12), 200)
-    assert np.max(np.abs(res.x - np.linalg.solve(a, b))) < 1e-8
-    # quasi-Newton, not steepest descent, which needs hundreds of steps here
-    assert res.nit <= 60
+    a = rng.normal(size=(20, 12))
+    b = rng.normal(size=20)
+    res = mp.minimize(lambda x: (a @ x - b, a), np.zeros(12), 200)
+    x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.max(np.abs(res.x - x_ls)) < 1e-8
+    assert res.fun == pytest.approx(float(np.sum((a @ x_ls - b) ** 2)), rel=1e-12)
+    # damped Gauss-Newton, not steepest descent, which needs hundreds of steps
+    assert res.nit <= 30
 
 
 def rosenbrock(x):
-    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-    g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
-                  200.0 * (x[1] - x[0] ** 2)])
-    return f, g
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return r, jac
 
 
-def test_lbfgs_minimizes_rosenbrock():
+def test_minimize_solves_rosenbrock():
     res = mp.minimize(rosenbrock, np.array([-1.2, 1.0]), 500)
-    assert np.max(np.abs(res.x - 1.0)) < 1e-6
-    assert res.fun == rosenbrock(res.x)[0] < 1e-12
-    assert 0 < res.nit <= 500
+    assert np.max(np.abs(res.x - 1.0)) < 1e-8
+    r = rosenbrock(res.x)[0]
+    assert res.fun == float(r @ r) < 1e-16
+    assert 0 < res.nit <= 100
 
 
-def test_lbfgs_honours_maxiter():
+def test_minimize_honours_maxiter():
     x0 = np.array([-1.2, 1.0])
-    res = mp.minimize(rosenbrock, x0, 1)
-    assert res.nit == 1
-    assert res.fun < rosenbrock(x0)[0]
-    assert res.fun == rosenbrock(res.x)[0]
+    r0 = rosenbrock(x0)[0]
+    for maxiter in (1, 3):
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return rosenbrock(x)
+
+        res = mp.minimize(fun, x0, maxiter)
+        assert res.nit == maxiter and len(calls) == maxiter + 1
+        r = rosenbrock(res.x)[0]
+        assert res.fun == float(r @ r) <= float(r0 @ r0)
 
 
-def test_lbfgs_stops_at_a_stationary_start():
+def test_minimize_stops_at_a_zero_residual_start():
     calls = []
 
     def fun(x):
         calls.append(x.copy())
-        return float(x @ x), 2.0 * x
+        return x - 1.0, np.eye(len(x))
 
-    # max|g| = 2e-16 is below the 1e-14 stop, yet a line search could still descend
-    x0 = np.full(5, 1e-16)
+    x0 = np.ones(5)
     res = mp.minimize(fun, x0, 100)
     assert res.nit == 0 and len(calls) == 1
-    assert res.fun == 5e-32 and np.array_equal(res.x, x0)
+    assert res.fun == 0.0 and np.array_equal(res.x, x0)
+
+
+def test_minimize_keeps_the_damped_matrix_nonsingular():
+    # J = 0: no step can move x, and it stops without a singular solve
+    res = mp.minimize(lambda x: (np.ones(3), np.zeros((3, 2))), np.zeros(2), 100)
+    assert res.fun == 3.0 and np.array_equal(res.x, np.zeros(2))
+    assert 0 < res.nit < 100
+
+    # J J^T of rank 1 and twenty successful steps: undamped by its floor, lam
+    # would fall below one ulp of diag(J J^T) and leave it singular
+    def twin(x):
+        return np.array([x[0] ** 2, x[0] ** 2]), np.array([[2.0 * x[0]], [2.0 * x[0]]])
+
+    res = mp.minimize(twin, np.ones(1), 100)
+    assert res.fun < 1e-22 and res.nit == 20
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("family", oc.FAMILIES)
+def test_tight_plans_converge_without_a_restart(p, family, monkeypatch):
+    runs = []
+    minimize = mp.minimize
+
+    def counted(fun, x0, maxiter):
+        runs.append(len(x0))
+        return minimize(fun, x0, maxiter)
+
+    monkeypatch.setattr(mp, "minimize", counted)
+    for seed in range(5):
+        rng = np.random.default_rng([p, seed, 12])
+        phi0, phiT = oc.random_state(4 * p, rng), oc.random_state(4 * p, rng)
+        runs.clear()
+        plan = mp.plan_transfer(phi0, phiT, p, eps_plan=1e-12, seed=seed, family=family)
+        assert plan.success and plan.achieved_error < 1e-12
+        assert len(runs) == 1
 
 
 # ---------------------------------------------------------------------------

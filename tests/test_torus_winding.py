@@ -169,6 +169,17 @@ def test_scan_kernel_matches_full_evaluation(seed, s_base):
             assert type(got[0]) is int and type(got[1]) is int
 
 
+@pytest.mark.parametrize("t_hat, step, w", [
+    (1.0, 2 * np.pi / np.sqrt(2), [1.1]),  # not the square root of an integer
+    (1.0, 0.5, [np.sqrt(2)]),  # not 2*pi/sqrt(nu)
+    (1.0, np.pi, [1.0]),  # alpha = 1/2: rational, not an integer
+    (math.nan, 2 * np.pi / np.sqrt(2), [np.sqrt(3)]),  # no finite phase
+])
+def test_scan_kernel_refuses_what_its_screen_cannot_take(t_hat, step, w):
+    with pytest.raises(ValueError):
+        _kernels.scan_decoupling(t_hat, step, np.array(w), [0, 1], 0.1, 0, 100, -1, math.inf)
+
+
 def _assert_scan_matches(args, oracle=full_scan):
     got = _kernels.scan_decoupling(*args)
     assert got == oracle(*args)
