@@ -3,9 +3,12 @@
 Planning is direct multi-start optimization: a fixed cyclic schedule over
 the available single generators, one signed angle per segment, and
 Levenberg-Marquardt on the residual phi_K - phiT (:func:`minimize`), with
-its exact Jacobian through the closed-form segment flows.  The schedule
-has more angles than the transfer has real equations, so the residual
-can reach zero and the damped Gauss-Newton steps converge quadratically.
+its exact Jacobian through the closed-form segment flows.  The first
+schedule is the fewest whole cycles with 1.5 angles per real degree of
+freedom of the transfer (``_ANGLES_PER_DOF``): more angles than real
+equations, so the residual can reach zero and the damped Gauss-Newton
+steps converge quadratically, and no more, since every sideband angle
+later costs a winding search and a share of the lift budget.
 Segment angles factor on output as amplitude = +-M, duration = |angle|/M,
 so every returned segment respects the control bound with the shortest
 possible duration.
@@ -25,6 +28,10 @@ from . import operator_core as oc
 from . import spectral_decoupling as sd
 
 _PRUNE_TOL = 1e-13
+# angles per real degree of freedom on the first schedule; at 1.0 the p=3
+# red-only and blue-only transfers (24 angles, 23 equations) restart on
+# some seeds
+_ANGLES_PER_DOF = 1.5
 DEFAULT_BUDGET = 12_000
 
 
@@ -200,9 +207,10 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
     """Steer phi0 to phiT in the order-p decoupled modal truncation.
 
     Multi-start Levenberg-Marquardt over segment angles on a cyclic
-    generator schedule whose length grows across restarts; stops as soon
-    as the L2 error drops below eps_plan or the evaluation budget runs out
-    (the best plan found is returned either way, with its honest achieved
+    generator schedule that starts at 1.5 angles per real degree of
+    freedom and grows geometrically across restarts; stops as soon as the
+    L2 error drops below eps_plan or the evaluation budget runs out (the
+    best plan found is returned either way, with its honest achieved
     error).
     """
     if p < 3 or not sd.is_prime(p):
@@ -264,9 +272,10 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
 
 
 def _cycle_schedule(ngens: int, dim: int) -> list[int]:
-    # enough angles to cover the 2*dim-1 real degrees of freedom, growing
+    # the fewest whole cycles with _ANGLES_PER_DOF angles for each of the
+    # 2*dim-1 real degrees of freedom, never below two, then growing
     # geometrically for the hard instances
-    base = max(2, int(np.ceil(2.5 * (2 * dim - 1) / ngens)))
+    base = max(2, int(np.ceil(_ANGLES_PER_DOF * (2 * dim - 1) / ngens)))
     out = [base, base]
     while out[-1] < 40:
         out.append(int(np.ceil(out[-1] * 1.5)))

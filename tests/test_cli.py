@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import helpers
 from sideband_steer import cli
+from sideband_steer import torus_winding as tw
 
 
 def run(argv):
@@ -143,6 +144,29 @@ def test_decouple_writes_certificate(tmp_path):
     # one exact evaluator writes both: the trace ends on the certified index
     assert int(rows[-1][0]) == blob["s"] == 11339
     assert float(rows[-1][1]) == blob["bound"]
+
+
+@pytest.mark.parametrize("op,m,cls,t_hat,eps,s", [
+    ("V1r", 4, 2, 1e-3, 0.05, 0),          # grid [0, 1]
+    ("V2r", 6, 4, 1.0, 0.03, 7296650),     # near s_max 1e7
+])
+def test_decouple_trace_matches_csv_writer(tmp_path, op, m, cls, t_hat, eps, s):
+    code = run(["decouple", "--op", op, "--m", str(m), "--class", str(cls),
+                "--t-hat", repr(t_hat), "--eps", repr(eps), "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / f"decouple_{op}_m{m}_c{cls}.json").read_text())["s"] == s
+    grid = np.unique(np.linspace(0, max(s, 1), 512).astype(np.int64))
+    profile = tw.bound_profile(m, cls, t_hat, grid)
+    with tempfile.TemporaryFile("w+", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["s", "bound"])
+        for g, b in zip(grid, profile):
+            wr.writerow([int(g), f"{b:.17g}"])
+        fh.seek(0)
+        oracle = fh.read().encode()
+    assert (tmp_path / f"decouple_trace_{op}_m{m}_c{cls}.csv").read_bytes() == oracle
+    if s == 0:
+        assert oracle.count(b"\r\n") == 3
 
 
 def test_decouple_exhaustion_exit(tmp_path):

@@ -38,6 +38,24 @@ def test_generator_set_sizes():
         mp.default_generator_ids(3, "everything")
 
 
+# angles on the first schedule: 1.5 per real degree of freedom, 2*4p - 1
+@pytest.mark.parametrize("p,family,angles", [
+    (3, "full", 40), (3, "red-only", 36), (3, "blue-only", 36),
+    (5, "full", 84), (5, "red-only", 64), (5, "blue-only", 64),
+    (7, "full", 88), (7, "red-only", 96), (7, "blue-only", 96),
+])
+def test_first_schedule_is_the_fewest_cycles_with_enough_angles(p, family, angles):
+    ngens = len(mp.default_generator_ids(p, family))
+    schedule = mp._cycle_schedule(ngens, 4 * p)
+    cycles = schedule[0]
+    need = 1.5 * (2 * 4 * p - 1)
+    assert cycles * ngens == angles
+    assert cycles >= 2 and cycles * ngens >= need
+    assert cycles == 2 or (cycles - 1) * ngens < need
+    # the restarts still grow the plan
+    assert schedule[1] == cycles and schedule[2] > cycles
+
+
 def test_generator_operators_nonzero():
     for gid in mp.default_generator_ids(3):
         op = mp.build_generator_operator(gid, 3)
@@ -333,7 +351,7 @@ def test_minimize_keeps_the_damped_matrix_nonsingular():
     assert res.fun < 1e-22 and res.nit == 20
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("family", oc.FAMILIES)
 def test_tight_plans_converge_without_a_restart(p, family, monkeypatch):
     runs = []
