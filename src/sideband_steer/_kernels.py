@@ -4,8 +4,8 @@ Three kernels carry the numeric load: pair rotations (every segment flow),
 the decoupling-time scan (every winding search) and the planner's
 residual with its Jacobian (every Levenberg-Marquardt evaluation).  Each
 has exactly one implementation.  The scan does not test every winding index:
-it enumerates, as lattice points, the indices whose float bound could be
-small enough, and evaluates the bound on those alone.
+it enumerates, as lattice points, the indices whose bound could be small
+enough, and evaluates the bound on those alone, in fixed point.
 
 All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
@@ -63,40 +63,43 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # ---------------------------------------------------------------------------
 # decoupling-time scan
 #
-# bound(s) = sum over classes h of max over class members w of
-# 2|sin(w*tbar_h/2)| with tbar_h = t_h + step*s.  t_hat gives the phase t_h
-# of every class: one float for all of them, or one per class.  A lifted
-# run of commuting class flows passes t_h = t_hat - tau_h, tau_h the angle
-# class h must realise (0.0 off the run).  Returns the first s in [s0, s1)
-# whose bound is below eps (or -1) plus the best (s, bound) seen, so
-# exhausted searches can report how close they got.
+# bound(s) = sum over classes h of max over the radicands r of class h of
+# 2|sin(sqrt(r)*tbar_h/2)|, with tbar_h = t_h + 2*pi*s/sqrt(nu).  t_hat gives
+# the phase t_h of every class: one float for all of them, or one per class.
+# A lifted run of commuting class flows passes t_h = t_hat - tau_h, tau_h
+# the angle class h must realise (0.0 off the run).  Returns the first s in
+# [s0, s1) whose bound is below eps (or -1), with the best (s, bound) up to
+# it, so exhausted searches can report how close they got.
+#
+# One fixed-point fraction per class.  A class's radicands are r = c^2*k, k
+# its square-free kernel and smallest radicand, so each term is
+# 2|sin(pi*c*y)|, y the signed fractional part of beta + s*alpha, with beta =
+# sqrt(k)*t_h/(2*pi) and alpha = sqrt(k/nu).  With 2^64*alpha = A + f, A an
+# integer and f in [0, 1) from the exact _sqrt_fixed(k*nu)/(nu*10**_SQRT_DIGITS),
+#     y = frac(beta + 2^-64*((s*A mod 2^64) + s*f)),
+# s*A a wrapping uint64 product.  For s < 2^53, y is within 1.25 ulps of 1 of
+# the fraction of (the float) beta + s*alpha: 2^10 + 1/2 + 1/2 + 2^11 units of
+# 2^-64 to round s*A mod 2^64, f, s*f and their sum, half an ulp to add beta.
 #
 # The work follows the survivors, not the window.  With thr = max(eps,
 # best_bound), an s matters only if bound(s) < thr: otherwise it is neither
 # a hit nor a strict new best.  The kernel enumerates a superset of those s
-# and evaluates the float bound on them alone, with the formula and the
-# class order of a full evaluation: tot, the first hit and the first argmin
-# are bit for bit the same.  A float sum of nonnegative terms never falls
-# below any partial sum, so each class term is evaluated only where the
-# running sum is still below thr.  Classes whose frequencies are all 0 add
-# exactly 0.0 and are skipped.
+# and evaluates the bound on them alone, with the formula and the class order
+# of a full evaluation: tot, the first hit and the first argmin are bit for
+# bit the same.  A float sum of nonnegative terms never falls below any
+# partial sum, so each class term is evaluated only where the running sum is
+# still below thr.  The zero class adds exactly 0.0 and is skipped.
 #
-# The screen.  For w = sqrt(r) and step = 2*pi/sqrt(nu), r and nu integers,
-# w*tbar_h/2 = pi*(beta + s*alpha) with beta = w*t_h/(2*pi) and alpha =
-# sqrt(r/nu), carried exactly as _sqrt_fixed(r*nu) / (nu * 10**_SQRT_DIGITS).
-# Take each class's smallest radicand and let D_j(s) be the distance of
-# beta_j + s*alpha_j to the nearest integer; the class term is at least
-# 2*sin(pi*D_j).  With h = thr/2 < 1 and a = asin(h)/pi, each term below thr
-# needs D_j < a, and there 2*sin(pi*D) >= thr*D/a because sin is concave on
+# The screen.  Let D_j(s) be the distance of beta_j + s*alpha_j to the
+# nearest integer; the class term is at least 2*sin(pi*D_j), its c = 1
+# term.  With h = thr/2 < 1 and a = asin(h)/pi, each term below thr needs
+# D_j < a, and there 2*sin(pi*D) >= thr*D/a because sin is concave on
 # [0, pi/2].  So a sum below thr needs sum_j D_j < a: the s that matter lie
 # in a cross-polytope of radius a over the fractional parts.  The radius is
-# widened outward for what separates the oracle's float argument from
-# pi*(beta + s*alpha): a few ulps of w*(max |t_h| + step*s)/2 (the roundings
-# of step, of the products and of the sum), a relative 2^-40 on thr/2 for
-# numpy's sin near a multiple of pi and the float sum, and a few ulps of 1
-# for asin, the division by pi and beta.  A class whose alpha is an integer
-# (the integer-frequency class when the zero class is selected) has a
-# constant D_j, which is taken off the radius.
+# widened by a relative 2^-40 on h for numpy's sin and the float sum, and by
+# a few ulps of 1 per class for y, asin and the division by pi.  A class
+# whose alpha is an integer (k = nu = 1, the integer-frequency class when
+# the zero class is selected) has a constant D_j, taken off the radius.
 #
 # The enumeration.  Around a piece's centre s_c, s = s_c + t, and the
 # integer vectors (t, k_1..k_d) map to z = (t/H, (gamma_j + t*alpha_j -
@@ -113,9 +116,19 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # window is shorter than _ENUM_MIN, every s is evaluated, _BLOCK steps at a
 # time.  Otherwise a piece holds about _ENUM_POINTS expected lattice points,
 # so memory follows the survivors.  Pieces run in order; a piece's best
-# tightens thr for the next ones.  Input the screen cannot take (a frequency
-# that is not sqrt(r), a step that is not 2*pi/sqrt(nu), a non-finite phase)
-# is refused with ValueError.
+# tightens thr for the next ones.  A non-finite phase is a ValueError.
+#
+# The hit threshold.  A caller that re-verifies hits with the exact
+# evaluator (torus_winding._exact_batch) scans at eps + scan_rounding, which
+# bounds the two bounds' difference at any s.  In units of u = 2^-53, a
+# radicand r = c^2*k with phase t has the kernel's term off the true one by
+# u*(3*sqrt(r)*|t| + 7*pi*c + 4) (beta by 3u*|beta|, y by 2.5u, pi*c*y by
+# pi*c*u, sin by an ulp) and the exact one by u*(3*sqrt(r)*|t| + 8*pi + 4)
+# (sqrt(r)*t by 2u*sqrt(r)*|t|, 2*pi*F by 17u, their sum by u*(sqrt(r)*|t| +
+# 2*pi), sin by an ulp).  A class max moves by its worst radicand's, a float
+# sum of d terms in [0, 2] by 2u*d*(d-1).  scan_rounding, 16u * sum over
+# classes of (2*pi*c + sqrt(r)*|t| + d) with the class's largest r and c, is
+# twice that, part by part: the same at every s.
 # ---------------------------------------------------------------------------
 
 _SQRT_DIGITS = 44
@@ -133,34 +146,39 @@ def _sqrt_fixed(n: int) -> int:
     return isqrt(n * 10 ** (2 * _SQRT_DIGITS))
 
 
-def scan_decoupling(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
-    ptr = tuple(int(i) for i in cls_ptr)
-    classes, index, reps, alphas = _classes(np.asarray(w, dtype=np.float64).tobytes(),
-                                            ptr, float(step))
-    per_class = class_phases(t_hat, len(ptr) - 1)
-    phases = [per_class[k] for k in index]
-    distinct = list(dict.fromkeys(phases))
-    terms = tuple((lo, hi, distinct.index(t)) for (lo, hi), t in zip(classes, phases))
-    screen = _screen(phases, reps, alphas)
-    t_max = max(map(abs, phases), default=0.0)
-    cand = -1
+def scan_decoupling(members, nu, t_hat, eps, best, s0, s1):
+    """(cand, best): the first s in [s0, s1) below eps, -1 if none, and the
+    best (s, bound) over ``best`` and the indices up to cand."""
+    classes = _classes(tuple(map(tuple, members)), nu)
+    betas, screen = _screen(classes, class_phases(t_hat, len(members)), nu)
+    best_s, best_bound = best
     p0 = s0
     while p0 < s1:
         thr = max(eps, best_bound)
-        p1, s = _piece(screen, t_max, step, thr, p0, s1)
+        p1, s = _piece(screen, thr, p0, s1)
         if s is None:
-            s = np.arange(p0, p1, dtype=np.float64)
-        s, tot = _bounds_below(distinct, step, w, terms, s, thr)
+            s = np.arange(p0, p1, dtype=np.int64)
+        s, tot = _bounds_below(classes, betas, s, thr)
+        hit = np.flatnonzero(tot < eps)[:1]
+        if len(hit):
+            s, tot = s[:hit[0] + 1], tot[:hit[0] + 1]
         if len(tot):
             i = int(np.argmin(tot))
             if tot[i] < best_bound:
-                best_bound = float(tot[i])
-                best_s = int(s[i])
-            hits = np.flatnonzero(tot < eps) if cand < 0 else ()
-            if len(hits):
-                cand = int(s[hits[0]])
+                best_s, best_bound = int(s[i]), float(tot[i])
+        if len(hit):
+            return int(s[-1]), (best_s, best_bound)
         p0 = p1
-    return cand, best_s, best_bound
+    return -1, (best_s, best_bound)
+
+
+def scan_rounding(members, t_hat):
+    """The most by which the scan's bound can exceed the exact evaluator's
+    at one index."""
+    terms = [(rads[0], rads[-1], t) for rads, t in
+             zip(members, class_phases(t_hat, len(members))) if rads[-1]]
+    return 8.0 * _EPS64 * sum(2.0 * math.pi * isqrt(r // k) + math.sqrt(r) * abs(t) + len(terms)
+                              for k, r, t in terms)
 
 
 def class_phases(t_hat, count):
@@ -174,82 +192,59 @@ def class_phases(t_hat, count):
     return phases
 
 
-def _bounds_below(phases, step, w, terms, s, thr):
-    """(s, tot): the indices of ascending ``s`` whose float bound tot is below
-    thr.  ``terms`` holds each class's (lo, hi, row), row indexing the
-    distinct ``phases``: each half angle 0.5*(t + step*s) is formed once
-    per distinct phase, not once per class."""
-    ss = step * s.astype(np.float64)
-    h = [0.5 * (t + ss) for t in phases]
-    tot = np.zeros_like(ss)
-    for lo, hi, row in terms:
-        if hi - lo == 1:
-            m = np.abs(np.sin(w[lo] * h[row]))
-        else:
-            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], h[row]))).max(axis=0)
-        tot += 2.0 * m
+@lru_cache(maxsize=64)
+def _classes(members, nu):
+    """(index, k, pc, a, f) of each class with a nonzero radicand: its
+    position in ``members``, its kernel k, pi*c for each radicand c^2*k, and
+    2^64*sqrt(k/nu) = A + f as a = A mod 2^64 (np.uint64) and f."""
+    den = nu * 10**_SQRT_DIGITS
+    out = []
+    for index, rads in enumerate(members):
+        if rads[0]:
+            a, f = divmod(_sqrt_fixed(rads[0] * nu) << 64, den)
+            out.append((index, rads[0], np.array([math.pi * isqrt(r // rads[0]) for r in rads]),
+                        np.uint64(a % (1 << 64)), f / den))
+    return tuple(out)
+
+
+def _bounds_below(classes, betas, s, thr):
+    """(s, tot): the indices of ascending ``s`` whose bound tot is below thr."""
+    tot = np.zeros(len(s))
+    for (_, _, pc, a, f), beta in zip(classes, betas):
+        y = beta + ((s.astype(np.uint64) * a).astype(np.float64) + s * f) * 2.0**-64
+        y -= np.rint(y)
+        tot += 2.0 * np.abs(np.sin(np.multiply.outer(pc, y))).max(axis=0)
         keep = tot < thr
         if not keep.all():
             s, tot = s[keep], tot[keep]
-            h = [x[keep] for x in h]
     return s, tot
 
 
-@lru_cache(maxsize=64)
-def _classes(w_bytes, cls_ptr, step):
-    """(classes, index, reps, alphas): the (lo, hi) of the classes with a
-    nonzero frequency, their positions among all classes, each one's
-    smallest nonzero frequency, and (den, q, irrational): alpha_j = q_j/den
-    for the irrational alphas, and which alphas are irrational.  Refuses
-    what the screen cannot take: a rep that is not sqrt(r), a step that is
-    not 2*pi/sqrt(nu) for integers r, nu, or a rational alpha that is not
-    an integer."""
-    w = np.frombuffer(w_bytes)
-    index = tuple(k for k, (lo, hi) in enumerate(zip(cls_ptr[:-1], cls_ptr[1:]))
-                  if np.any(w[lo:hi]))
-    classes = tuple((cls_ptr[k], cls_ptr[k + 1]) for k in index)
-    reps = tuple(float(np.min(w[lo:hi][w[lo:hi] != 0.0])) for lo, hi in classes)
-    nu = round((2.0 * math.pi / step) ** 2) if step > 0.0 else 0
-    if nu < 1 or 2.0 * math.pi / math.sqrt(nu) != step:
-        raise ValueError(f"step {step!r} is not 2*pi/sqrt(nu) for an integer nu")
-    den = nu * 10**_SQRT_DIGITS
-    qs, irrational = [], []
-    for wj in reps:
-        r = round(wj * wj)
-        if not (r >= 1 and math.sqrt(r) == wj):
-            raise ValueError(f"frequency {wj!r} is not the square root of an integer")
-        irrational.append(isqrt(r * nu) ** 2 != r * nu)
-        if irrational[-1]:
-            qs.append(_sqrt_fixed(r * nu))
-        elif isqrt(r * nu) % nu:
-            raise ValueError(f"alpha = sqrt({r}/{nu}) is rational but not an integer")
-    return classes, index, reps, (den, tuple(qs), tuple(irrational))
+def _screen(classes, phases, nu):
+    """(betas, (den, q, beta, d_const)): beta = sqrt(k)*t_h/(2*pi) of each
+    class, reduced to [-1/2, 1/2]; alpha = q/den and beta of the classes with
+    an irrational alpha, and the constant distances |beta| of those with
+    alpha = 1."""
+    betas = []
+    for index, k, *_ in classes:
+        b = math.sqrt(k) * phases[index] / (2.0 * math.pi)
+        if not math.isfinite(b):
+            raise ValueError(f"non-finite class phase {phases[index]!r}")
+        betas.append(b - round(b))
+    irrational = [(k, b) for (_, k, *_), b in zip(classes, betas) if k != nu]
+    return betas, (nu * 10**_SQRT_DIGITS, tuple(_sqrt_fixed(k * nu) for k, _ in irrational),
+                   [b for _, b in irrational],
+                   [abs(b) for (_, k, *_), b in zip(classes, betas) if k == nu])
 
 
-def _screen(phases, reps, alphas):
-    """(wsum, den, q, beta, d_const): ``q`` and ``beta`` of the classes with
-    an irrational alpha = q/den, the constant distances D of those with an
-    integer alpha, and the sum of all their frequencies; ``phases`` holds
-    each class's t_h, which must be finite."""
-    if not all(map(math.isfinite, phases)):
-        raise ValueError(f"non-finite class phase in {phases!r}")
-    den, qs, irrational = alphas
-    beta = [wj * tj / (2.0 * math.pi) for wj, tj in zip(reps, phases)]
-    return (sum(reps), den, qs, [b for b, irr in zip(beta, irrational) if irr],
-            [abs(b - round(b)) for b, irr in zip(beta, irrational) if not irr])
-
-
-def _piece(screen, t_max, step, thr, p0, s1):
+def _piece(screen, thr, p0, s1):
     """(p1, s): the next piece [p0, p1) of the window and the ascending
-    indices in it whose bound can be below thr, None where all can.
-    ``t_max`` is the largest |t_h| of the classes."""
+    indices in it whose bound can be below thr, None where all can."""
     h = 0.5 * thr * (1.0 + 2.0**-40)
     if h >= 1.0:
         return min(s1, p0 + _BLOCK), None
-    wsum, den, qs, beta, d_const = screen
-    hmax = 0.5 * (t_max + step * (s1 - 1))
-    margin = _SCREEN_ULPS * _EPS64 * (wsum * hmax / math.pi + 4.0 * (len(qs) + len(d_const)))
-    rho = math.asin(h) / math.pi + 2.0 * margin - sum(d_const)
+    den, qs, beta, d_const = screen
+    rho = math.asin(h) / math.pi + _SCREEN_ULPS * _EPS64 * (len(qs) + 1) - sum(d_const)
     if rho <= 0.0:
         return s1, np.empty(0, dtype=np.int64)
     d = len(qs)

@@ -68,6 +68,11 @@ class LiftedSegment:
             raise ValueError(f"amplitude must be a finite number, not {seg.amplitude!r}")
         if not _is_finite(seg.duration) or seg.duration < 0:
             raise ValueError(f"duration must be a finite number >= 0, not {seg.duration!r}")
+        if not _is_int(seg.origin) or seg.origin < 0:
+            raise ValueError(f"origin must be an integer >= 0, not {seg.origin!r}")
+        if not _is_finite(seg.predicted_error) or seg.predicted_error < 0:
+            raise ValueError(f"predicted_error must be a finite number >= 0, "
+                             f"not {seg.predicted_error!r}")
         if seg.s is None:  # carrier
             if oc.is_sideband(seg.coupling):
                 raise ValueError(f"sideband {seg.coupling} has no winding index")

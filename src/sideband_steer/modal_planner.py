@@ -67,7 +67,7 @@ class GeneratorId:
     def __post_init__(self):
         if self.kind not in ("carrier", "sideband"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.gamma not in (1, 2) or self.part not in ("V", "W"):
+        if not (_is_int(self.gamma) and self.gamma in (1, 2)) or self.part not in ("V", "W"):
             raise ValueError("gamma must be 1 or 2 and part V or W")
         if self.kind == "carrier":
             if self.star is not None or self.class_index is not None:

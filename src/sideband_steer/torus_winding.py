@@ -2,11 +2,12 @@
 
 The searched quantity is exact: for a normal operator the deviation of a
 class flow from the identity is max over eigenvalue moduli w of
-2|sin(w*t_bar/2)|.  The scan runs in float64 for speed; every candidate is
-re-verified with fixed-point integer arithmetic before it is accepted, so
-the certified bound never depends on float argument reduction at huge
-t_bar.  The same fixed-point reduction supplies exact rotation angles to
-the lifted simulator.
+2|sin(w*t_bar/2)|.  The scan evaluates it in 64-bit fixed point, and offers
+every s whose bound is below eps plus ``_kernels.scan_rounding``, a rounding
+term that does not grow with s.  Every candidate is re-verified with
+fixed-point integer arithmetic before it is accepted, so the certified bound
+never depends on float argument reduction at huge t_bar.  The same
+reduction supplies exact rotation angles to the lifted simulator.
 
 One search can realise a whole run of commuting class flows X[l1], X[l2],
 ... of one coupling X: class l1 is made exact through s, and each other
@@ -20,13 +21,13 @@ the index it ends at.  It works upward through windows of s that start at
 _CHUNK_FIRST indices and double, with no cap, so a search to s_max = 1e12
 takes about 28 windows.  Within a window the kernel
 (``_kernels.scan_decoupling``) enumerates only the s whose fractional parts
-s*alpha_j + beta_j lie close enough to the integers that the float sum
-could fall below max(eps, best bound so far), as lattice points on an
-LLL-reduced basis, and evaluates the float sum on those alone, class by
-class and in class order.  Hits, exhausted best indices and best bounds
-are therefore bit for bit those of evaluating every class at every s.  A
-candidate that fails the fixed-point check resumes the same window, so the
-scan slack stays that of the window's top.
+s*alpha_j + beta_j lie close enough to the integers that the sum could
+fall below max(eps, best bound so far), as lattice points on an
+LLL-reduced basis, and evaluates the sum on those alone, class by class
+and in class order.  Hits, exhausted best indices and best bounds are
+therefore bit for bit those of evaluating every class at every s.  The
+kernel stops at its first hit; a candidate that fails the fixed-point
+check resumes the same window at the index after it.
 
 One batched evaluation (``_exact_batch``) does all the exact arithmetic:
 the search's acceptance check and exhausted report, the ``bound_profile``
@@ -154,7 +155,8 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     its radicands r, with tau_h from ``req.offsets``.  The hypothesis
     "omega_h/omega_m irrational or zero" is checked exactly before
     searching (it reduces to m-1 square-free).  s_max must lie in
-    [0, 2**53): the scan's float offsets are exact only below 2**53.
+    [0, 2**53): the scan forms s*f in float64, and bounds its rounding only
+    below 2**53.
     Raises SearchExhaustedError with the best candidate when no s qualifies.
     """
     if not (oc.is_ion(req.id) and oc.is_sideband(req.id)):
@@ -173,13 +175,9 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
             f"omega_{req.m} = sqrt({req.m - 1}) is rationally resonant with a lower frequency")
     members, nu_kernel = _torus_data(req.m, req.ell)
     phases = _run_phases(req, len(members))
-
-    w = np.array([math.sqrt(r) for rads in members for r in rads], dtype=np.float64)
-    cls_ptr = np.cumsum([0] + [len(rads) for rads in members]).astype(np.int64)
     step = TWO_PI / math.sqrt(nu_kernel)
-    max_w = float(w.max()) if len(w) else 0.0
-    t_max = max(abs(t) for t in phases)
-    nterms = len(w)
+    # the scan's bound lies within scan_rounding of the exact one at every s
+    eps_scan = req.eps + _kernels.scan_rounding(members, phases)
 
     def accept(s: int) -> DecouplingResult | None:
         bounds, per_class, residuals = _exact_batch(members, nu_kernel, [s], phases)
@@ -191,7 +189,7 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
                 nu_kernel=nu_kernel)
         return None
 
-    best_s, best_bound = -1, math.inf
+    best = (-1, math.inf)
     # window [s_next, s_hi): the first holds _CHUNK_FIRST indices and each
     # next one twice as many; a rejected candidate resumes the same window
     chunk = _CHUNK_FIRST
@@ -200,23 +198,21 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
         if s_next == s_hi:
             chunk *= 2
             s_hi = min(s_hi + chunk, req.s_max + 1)
-        # slack covers float64 argument-reduction drift at the window's top
-        theta_max = max_w * (t_max + step * s_hi)
-        eps_scan = req.eps + 4e-15 * theta_max * max(1, nterms) + 1e-13
-        cand, best_s, best_bound = _kernels.scan_decoupling(
-            phases, step, w, cls_ptr, eps_scan, s_next, s_hi, best_s, best_bound)
+        cand, best = _kernels.scan_decoupling(members, nu_kernel, phases, eps_scan, best,
+                                              s_next, s_hi)
         if cand >= 0:
-            res = accept(int(cand))
+            res = accept(cand)
             if res is not None:
                 return res
-            s_next = int(cand) + 1
+            s_next = cand + 1
         else:
             s_next = s_hi
-    best_bound = float(_exact_batch(members, nu_kernel, [int(best_s)], phases)[0][0])
+    best_s = best[0]
+    best_bound = float(_exact_batch(members, nu_kernel, [best_s], phases)[0][0])
     raise SearchExhaustedError(
         f"no s <= {req.s_max} meets eps={req.eps}; best s={best_s} "
         f"with bound {best_bound:.6g}",
-        best_s=int(best_s), best_bound=best_bound)
+        best_s=best_s, best_bound=best_bound)
 
 
 def _run_phases(req: DecouplingRequest, count: int) -> list[float]:

@@ -13,8 +13,8 @@ runtime ``SegmentProgram`` path that both simulators use,
 ``basis_split`` inverts the runtime ``operator_core.basis_index``,
 ``gradient_check`` compares the gradient derived from the planner
 kernel's Jacobian with central differences, and ``block_scan`` is the
-decoupling scan that tests every winding index, with the per-frequency
-screen the kernel used before it enumerated the survivors.
+decoupling scan that tests every winding index, with a per-radicand
+screen, on the fixed-point class fractions of ``fixed_point_classes``.
 """
 
 import math
@@ -252,65 +252,76 @@ _EPS64 = float(np.finfo(np.float64).eps)
 _BLOCK = 1 << 15
 
 
-def block_scan(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
+def fixed_point_classes(members, nu, t_hat):
+    """(c, A, f, beta) of each class with a nonzero radicand, in class order.
+
+    Its radicands are c^2*k with k the smallest, 2^64*sqrt(k/nu) = A + f
+    with A an integer, taken mod 2^64, and f in [0, 1), and beta =
+    sqrt(k)*t_h/(2*pi), reduced to [-1/2, 1/2].  ``t_hat`` is one phase for
+    every class or one per class.
+    """
+    phases = [float(t) for t in t_hat] if np.ndim(t_hat) else [float(t_hat)] * len(members)
+    den = nu * 10**_kernels._SQRT_DIGITS
+    out = []
+    for rads, t in zip(members, phases):
+        k = rads[0]
+        if k == 0:
+            continue
+        a, f = divmod(math.isqrt(k * nu * 10 ** (2 * _kernels._SQRT_DIGITS)) << 64, den)
+        beta = math.sqrt(k) * t / (2.0 * math.pi)
+        out.append((np.array([math.isqrt(r // k) for r in rads]), np.uint64(a % 2**64),
+                    f / den, beta - round(beta)))
+    return out
+
+
+def fixed_point_fraction(cls, s):
+    """y = frac(beta + 2^-64*((s*A mod 2^64) + s*f)) at the int64 indices ``s``."""
+    _, a, f, beta = cls
+    y = beta + ((s.astype(np.uint64) * a).astype(np.float64) + s * f) * 2.0**-64
+    return y - np.rint(y)
+
+
+def class_term(cls, y):
+    """The class term max over c of 2|sin(pi*c*y)|."""
+    return 2.0 * np.abs(np.sin(np.multiply.outer(np.pi * cls[0], y))).max(axis=0)
+
+
+def block_scan(members, nu, t_hat, eps, best, s0, s1):
     """``_kernels.scan_decoupling``'s contract, testing every s in [s0, s1).
 
-    ``t_hat`` is one phase for every class or one per class, as in the
-    kernel: class h's half angle is 0.5 * (t_h + step * s).  With thr =
-    max(eps, best_bound), a thr < 2 screens each nonzero frequency without
-    a sin: 2|sin(x)| < thr needs y = (w/pi)*half within asin(thr/2)/pi of
-    an integer, up to a margin of a few ulps of the block's largest |y| and
-    of 1, and a relative 2^-40 on thr/2.  The class terms are then added in
-    class order where the running sum is below thr.  A block's best
-    tightens thr for the later blocks.
+    With thr = max(eps, best bound), a thr < 2 screens each radicand c^2*k
+    of a class without a sin: 2|sin(pi*c*y)| < thr needs c*y within
+    asin(thr/2)/pi of an integer, up to a margin of a few ulps of c and a
+    relative 2^-40 on thr/2.  The class terms are then added in class order
+    where the running sum is below thr.  A block's best tightens thr for the
+    later blocks, and the scan stops at the first hit.
     """
-    n = len(cls_ptr) - 1
-    phases = [float(t) for t in t_hat] if np.ndim(t_hat) else [float(t_hat)] * n
-    classes = [(lo, hi, phases[c]) for c, (lo, hi) in enumerate(zip(cls_ptr[:-1], cls_ptr[1:]))
-               if np.any(w[lo:hi])]
-    cand = -1
+    classes = fixed_point_classes(members, nu, t_hat)
+    best_s, best_bound = best
     for b0 in range(s0, s1, _BLOCK):
-        hit, best_s, best_bound = _scan_block(step, w, classes, eps, b0, min(b0 + _BLOCK, s1),
-                                              best_s, best_bound)
-        if cand < 0:
-            cand = hit
-    return cand, best_s, best_bound
-
-
-def _scan_block(step, w, classes, eps, s0, s1, best_s, best_bound):
-    steps = (np.arange(s1 - s0, dtype=np.float64) + float(s0)) * step  # exact: s < 2**53
-    half = {t: 0.5 * (t + steps) for _, _, t in classes}  # rounded as the kernel rounds
-    thr = max(eps, best_bound)
-    idx = None  # survivors as positions in the block; None means all
-    if thr < 2.0:
-        a = math.asin(min(1.0, 0.5 * thr * (1.0 + 2.0**-40))) / math.pi
-        for lo, hi, t in classes:
-            hmax = max(abs(float(half[t][0])), abs(float(half[t][-1])))
-            for wj in w[lo:hi][w[lo:hi] != 0.0] / np.pi:
-                tol = a + _SCREEN_ULPS * _EPS64 * (abs(float(wj)) * hmax + 1.0)
-                z = wj * (half[t] if idx is None else half[t][idx])
-                z -= np.rint(z)
-                keep = np.abs(z) < tol
-                idx = np.flatnonzero(keep) if idx is None else idx[keep]
-    if idx is None:
-        idx = np.arange(s1 - s0)
-    tot = np.zeros(len(idx))
-    for lo, hi, t in classes:
-        h = half[t][idx]
-        if hi - lo == 1:
-            m = np.abs(np.sin(w[lo] * h))
-        else:
-            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], h))).max(axis=0)
-        tot += 2.0 * m
-        keep = tot < thr
-        if not keep.all():
-            idx, tot = idx[keep], tot[keep]
-    if len(tot) == 0:
-        return -1, best_s, best_bound
-    i = int(np.argmin(tot))
-    if tot[i] < best_bound:
-        best_bound = float(tot[i])
-        best_s = s0 + int(idx[i])
-    hits = np.flatnonzero(tot < eps)
-    cand = int(s0 + idx[hits[0]]) if hits.size else -1
-    return cand, best_s, best_bound
+        s = np.arange(b0, min(b0 + _BLOCK, s1), dtype=np.int64)
+        ys = [fixed_point_fraction(cls, s) for cls in classes]
+        thr = max(eps, best_bound)
+        keep = np.ones(len(s), dtype=bool)
+        if thr < 2.0:
+            a = math.asin(min(1.0, 0.5 * thr * (1.0 + 2.0**-40))) / math.pi
+            for cls, y in zip(classes, ys):
+                for c in cls[0]:
+                    z = c * y
+                    keep &= np.abs(z - np.rint(z)) < a + _SCREEN_ULPS * _EPS64 * (c + 1.0)
+        idx = np.flatnonzero(keep)
+        tot = np.zeros(len(idx))
+        for cls, y in zip(classes, ys):
+            tot += class_term(cls, y[idx])
+            below = tot < thr
+            idx, tot = idx[below], tot[below]
+        hit = np.flatnonzero(tot < eps)[:1]
+        if len(hit):
+            idx, tot = idx[:hit[0] + 1], tot[:hit[0] + 1]
+        if len(tot):
+            i = int(np.argmin(tot))
+            if tot[i] < best_bound:
+                best_s, best_bound = b0 + int(idx[i]), float(tot[i])
+        if len(hit):
+            return b0 + int(idx[-1]), (best_s, best_bound)
+    return -1, (best_s, best_bound)

@@ -339,6 +339,12 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
     (["lift", "--plan", "{dir}/plan_carrier_star.json", "--eps", "0.1"], 2),
     (["simulate", "--lifted", "{dir}/dim_sim_small.json", "--phi0", "e2"], 2),
     (["simulate", "--lifted", "{dir}/sideband_duration_null.json"], 2),
+    (["simulate", "--lifted", "{dir}/origin_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/origin_negative.json"], 2),
+    (["simulate", "--lifted", "{dir}/predicted_error_str.json"], 2),
+    (["simulate", "--lifted", "{dir}/predicted_error_negative.json"], 2),
+    (["lift", "--plan", "{dir}/plan_carrier_gamma_float.json", "--eps", "0.1"], 2),
+    (["lift", "--plan", "{dir}/plan_carrier_gamma_bool.json", "--eps", "0.1"], 2),
     (["certify", "--config", "{dir}/cfg_n_float.json"], 2),
     (["certify", "--config", "{dir}/cfg_n_null.json"], 2),
     (["certify", "--config", "{dir}/cfg_n_list.json"], 2),
@@ -357,7 +363,8 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
       "--eps", "inf"], 2),
     (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
       "--eps", "0.05", "--s-max", "-1"], 2),
-    # the scan's float offsets are exact only below 2**53
+    # the s range stays [0, 2**53): the scan's fraction s*f is formed in
+    # float64, whose rounding it bounds only there
     (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
       "--eps", "0.05", "--s-max", str(2**53 + 1)], 2),
     (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1", "--s-max", "-1"], 2),
@@ -372,7 +379,9 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
         "lifted-eps-str", "lifted-carrier-duration-str", "lifted-sideband-no-s",
         "plan-valid", "plan-p-str", "plan-p-huge", "plan-achieved-error-str", "plan-M-negative",
         "plan-class-str", "plan-duration-str", "plan-carrier-star", "lifted-dim-sim-small",
-        "lifted-sideband-duration-null",
+        "lifted-sideband-duration-null", "lifted-origin-str", "lifted-origin-negative",
+        "lifted-predicted-error-str", "lifted-predicted-error-negative",
+        "plan-carrier-gamma-float", "plan-carrier-gamma-bool",
         "config-n-float", "config-n-null", "config-n-list", "config-m-float",
         "config-n-whole-float", "config-seed-float", "config-s-max-float",
         "plan-eps-nan", "plan-M-nan", "decouple-t-hat-nan", "decouple-eps-nan",
@@ -404,6 +413,10 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
             ("carrier_duration_str", {}, {}, {"duration": "x"}),
             ("sideband_no_s", {}, {"s": None}, {}),
             ("sideband_duration_null", {}, {"duration": None}, {}),
+            ("origin_str", {}, {"origin": "x"}, {}),
+            ("origin_negative", {}, {"origin": -5}, {}),
+            ("predicted_error_str", {}, {"predicted_error": "x"}, {}),
+            ("predicted_error_negative", {}, {"predicted_error": -1.0}, {}),
             # four sidebands can reach level p + 4, beyond a dim_sim of 4 * (p + 1)
             ("dim_sim_small", {"dim_sim": 16, "segments": [
                 {**_SIDEBAND, "coupling": c, "s": 0} for c in ("V1r", "V1b", "V1r", "V1b")]},
@@ -421,7 +434,10 @@ def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
             ("M_negative", {"M": -1.0}, {}, {}, {}),
             ("class_str", {}, {"class": "x"}, {}, {}),
             ("duration_str", {}, {}, {"duration": "x"}, {}),
-            ("carrier_star", {}, {}, {}, {"star": "r"})):
+            ("carrier_star", {}, {}, {}, {"star": "r"}),
+            # a float or boolean gamma would name the coupling V1.0 or VTrue
+            ("carrier_gamma_float", {}, {}, {}, {"gamma": 1.0}),
+            ("carrier_gamma_bool", {}, {}, {}, {"gamma": True})):
         (tmp_path / f"plan_{name}.json").write_text(json.dumps(
             {**_PLAN, **fields,
              "segments": [{**side_seg, "generator": {**side_seg["generator"], **gen}, **seg},

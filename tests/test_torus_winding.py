@@ -30,38 +30,27 @@ def brute_bound(m, ell, t_hat, s):
     return tot
 
 
-def full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1):
-    """Test-local oracle for the scan kernel: every class on every s."""
-    s = np.arange(s0, s1, dtype=np.float64)
-    half = 0.5 * (t_hat + step * s)
-    tot = np.zeros_like(half)
-    for c in range(len(cls_ptr) - 1):
-        lo, hi = cls_ptr[c], cls_ptr[c + 1]
-        if hi == lo:
-            continue
-        if hi - lo == 1:
-            m = np.abs(np.sin(w[lo] * half))
-        else:
-            m = np.abs(np.sin(np.multiply.outer(w[lo:hi], half))).max(axis=0)
-        tot += 2.0 * m
+def full_scan_bounds(members, nu, t_hat, s0, s1):
+    """Test-local oracle for the scan kernel: every class on every s, each on
+    its fixed-point fraction."""
+    s = np.arange(s0, s1, dtype=np.int64)
+    tot = np.zeros(len(s))
+    for cls in helpers.fixed_point_classes(members, nu, t_hat):
+        tot += helpers.class_term(cls, helpers.fixed_point_fraction(cls, s))
     return tot
 
 
-def full_scan(t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound):
-    tot = full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1)
-    i = int(np.argmin(tot))
-    if tot[i] < best_bound:
-        best_bound = float(tot[i])
-        best_s = s0 + i
+def full_scan(members, nu, t_hat, eps, best, s0, s1):
+    tot = full_scan_bounds(members, nu, t_hat, s0, s1)
     hits = np.flatnonzero(tot < eps)
     cand = int(s0 + hits[0]) if hits.size else -1
-    return cand, best_s, best_bound
-
-
-def _scan_arrays(members):
-    w = np.array([math.sqrt(r) for rads in members for r in rads], dtype=np.float64)
-    cls_ptr = np.cumsum([0] + [len(rads) for rads in members]).astype(np.int64)
-    return w, cls_ptr
+    if hits.size:  # the scan stops at its first hit
+        tot = tot[:hits[0] + 1]
+    best_s, best_bound = best
+    i = int(np.argmin(tot))
+    if tot[i] < best_bound:
+        best_s, best_bound = s0 + i, float(tot[i])
+    return cand, (best_s, best_bound)
 
 
 def brute_smallest(m, ell, t_hat, eps, s_cap):
@@ -138,7 +127,7 @@ def test_monotone_budget():
 @pytest.mark.parametrize("s_base", [0, 10**6, 10**9, 10**12])
 def test_scan_kernel_matches_full_evaluation(seed, s_base):
     # the pruned, screened scan returns exactly what evaluating every class
-    # on every s returns, also where one ulp of w*t_bar/2 is large.  The last
+    # on every s returns, far from s = 0 as near it.  The last
     # thresholds sit one ulp above the window's least bound, so its argmin is
     # the first hit and, for m=3, ell=2 (one nonzero frequency), lies on the
     # edge of the screen, whose margin then decides
@@ -148,42 +137,32 @@ def test_scan_kernel_matches_full_evaluation(seed, s_base):
         part = sd.resonance_partition(m)
         ell = 2 if trial == 0 else int(rng.integers(1, part.count + 1))
         members, nu_kernel = tw._torus_data(m, ell)
-        w, cls_ptr = _scan_arrays(members)
-        step = 2 * np.pi / np.sqrt(nu_kernel)
         t_hat = float(rng.uniform(-5, 5))
         eps0 = float(10 ** rng.uniform(-3, 0.5))
         s0 = s_base + int(rng.integers(0, 10**5))
         # odd trials span several of the kernel's blocks
         s1 = s0 + int(rng.integers(1, 80000 if trial % 2 else 6000))
-        tot = full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1)
+        tot = full_scan_bounds(members, nu_kernel, t_hat, s0, s1)
         tight = float(np.nextafter(tot.min(), math.inf))
         for eps, best_bound in ((eps0, math.inf),
                                 (eps0, float(tot.min()) * rng.uniform(0.9, 1.5)),
                                 (eps0, float(rng.uniform(0.0, 3.0))),
                                 (tight, tight)):
-            best_s = -1 if best_bound == math.inf else 7
-            args = (t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound)
-            got = _kernels.scan_decoupling(*args)
-            want = full_scan(*args)
-            assert got == want
-            assert type(got[0]) is int and type(got[1]) is int
+            best = (-1 if best_bound == math.inf else 7, best_bound)
+            _assert_scan_matches((members, nu_kernel, t_hat, eps, best, s0, s1))
 
 
-@pytest.mark.parametrize("t_hat, step, w", [
-    (1.0, 2 * np.pi / np.sqrt(2), [1.1]),  # not the square root of an integer
-    (1.0, 0.5, [np.sqrt(2)]),  # not 2*pi/sqrt(nu)
-    (1.0, np.pi, [1.0]),  # alpha = 1/2: rational, not an integer
-    (math.nan, 2 * np.pi / np.sqrt(2), [np.sqrt(3)]),  # no finite phase
-])
-def test_scan_kernel_refuses_what_its_screen_cannot_take(t_hat, step, w):
-    with pytest.raises(ValueError):
-        _kernels.scan_decoupling(t_hat, step, np.array(w), [0, 1], 0.1, 0, 100, -1, math.inf)
+@pytest.mark.parametrize("t_hat", [math.nan, math.inf, 1.5e308])
+def test_scan_kernel_refuses_a_non_finite_phase(t_hat):
+    # 1.5e308 is finite, but sqrt(3)*t_h/(2*pi) is not
+    with pytest.raises(ValueError, match="non-finite"):
+        _kernels.scan_decoupling([[3]], 2, t_hat, 0.1, (-1, math.inf), 0, 100)
 
 
 def _assert_scan_matches(args, oracle=full_scan):
     got = _kernels.scan_decoupling(*args)
     assert got == oracle(*args)
-    assert type(got[0]) is int and type(got[1]) is int
+    assert type(got[0]) is int and type(got[1][0]) is int
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -195,28 +174,25 @@ def test_scan_kernel_matches_full_evaluation_in_the_exhausted_regime(seed):
     for s_base in (10**5, 10**9, 10**12):
         ell = int(rng.integers(2, sd.resonance_partition(8).count + 1))
         members, nu_kernel = tw._torus_data(8, ell)
-        w, cls_ptr = _scan_arrays(members)
-        step = 2 * np.pi / np.sqrt(nu_kernel)
         t_hat = float(rng.uniform(-5, 5))
         s0 = s_base + int(rng.integers(0, 10**5))
         s1 = s0 + int(10 ** rng.uniform(5, 6))
-        tot = full_scan_bounds(t_hat, step, w, cls_ptr, s0, s1)
+        tot = full_scan_bounds(members, nu_kernel, t_hat, s0, s1)
         tight = float(np.nextafter(tot.min(), math.inf))
         for eps, best_bound in ((float(rng.uniform(0.2, 0.7)), math.inf),
                                 (0.01, float(rng.uniform(0.2, 0.7))),
                                 (tight, tight)):
-            best_s = -1 if best_bound == math.inf else 7
-            _assert_scan_matches((t_hat, step, w, cls_ptr, eps, s0, s1, best_s, best_bound))
+            best = (-1 if best_bound == math.inf else 7, best_bound)
+            _assert_scan_matches((members, nu_kernel, t_hat, eps, best, s0, s1))
 
 
 def test_scan_kernel_evaluates_everything_at_thresholds_of_two():
     # a class term 2|sin| below thr >= 2 constrains nothing, so every index
     # of the window is evaluated, over several blocks
     members, nu_kernel = tw._torus_data(8, 2)
-    w, cls_ptr = _scan_arrays(members)
-    step = 2 * np.pi / np.sqrt(nu_kernel)
     for eps, best_bound in ((2.0, math.inf), (0.05, 2.0), (2.5, 3.0)):
-        _assert_scan_matches((0.7, step, w, cls_ptr, eps, 10**9, 10**9 + 70000, 3, best_bound))
+        _assert_scan_matches((members, nu_kernel, 0.7, eps, (3, best_bound),
+                              10**9, 10**9 + 70000))
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])
@@ -226,13 +202,12 @@ def test_scan_kernel_matches_full_evaluation_for_the_zero_class(m):
     # t_hat/(2*pi) to an integer decides whether anything survives
     members, nu_kernel = tw._torus_data(m, 1)
     assert nu_kernel == 1
-    w, cls_ptr = _scan_arrays(members)
-    step = 2 * np.pi
     for t_hat in (0.0, 0.01, 2 * np.pi - 0.02, -4 * np.pi + 0.05, 1.0, np.pi / 2):
-        tot = full_scan_bounds(t_hat, step, w, cls_ptr, 1000, 200000)
+        tot = full_scan_bounds(members, nu_kernel, t_hat, 1000, 200000)
         for eps, best_bound in ((0.3, math.inf), (0.1, 0.6),
                                 (float(np.nextafter(tot.min(), math.inf)), 1.5)):
-            _assert_scan_matches((t_hat, step, w, cls_ptr, eps, 1000, 200000, 5, best_bound))
+            _assert_scan_matches((members, nu_kernel, t_hat, eps, (5, best_bound),
+                                  1000, 200000))
 
 
 # The 19 reference requests (perfbench/winding_reference.json, acceptance C4)
@@ -271,10 +246,9 @@ def test_exhausted_reference_request_keeps_its_best(op, m, ell, t_hat, eps, best
     assert (exc.value.best_s, exc.value.best_bound) == (best_s, float.fromhex(best_bound))
     # one kernel call over the whole range finds what the per-index scan finds
     members, nu_kernel = tw._torus_data(m, ell)
-    w, cls_ptr = _scan_arrays(members)
-    args = (t_hat, 2 * np.pi / np.sqrt(nu_kernel), w, cls_ptr, eps, 0, 10**7 + 1, -1, math.inf)
+    args = (members, nu_kernel, t_hat, eps, (-1, math.inf), 0, 10**7 + 1)
     _assert_scan_matches(args, oracle=helpers.block_scan)
-    assert _kernels.scan_decoupling(*args)[1] == best_s
+    assert _kernels.scan_decoupling(*args)[1][0] == best_s
 
 
 def test_order6_hit_far_out():
@@ -284,6 +258,45 @@ def test_order6_hit_far_out():
     res = tw.find_decoupling_time(req)
     assert res.s == 545347336
     assert res.bound == float.fromhex("0x1.fb6c49061fc64p-9")
+
+
+def test_order6_search_exhausts_1e11():
+    # the scan's threshold does not grow with s, so past 1e10 it still
+    # offers the exact check only indices whose bound is near eps: the
+    # search runs out to 1e11, and its best index has the bound it reports
+    req = tw.DecouplingRequest(id="V1r", m=6, ell=2, t_hat=1.0, eps=0.00094, s_max=10**11)
+    with pytest.raises(SearchExhaustedError) as exc:
+        tw.find_decoupling_time(req)
+    assert exc.value.best_bound <= 0.0016659307735091072
+    assert exc.value.best_bound == float(tw.bound_profile(6, 2, 1.0, [exc.value.best_s])[0])
+
+
+def _kernel_bound(members, nu_kernel, phases, s):
+    """The scan kernel's own bound at index s: the best of a one-index window."""
+    return _kernels.scan_decoupling(members, nu_kernel, phases, 0.0, (-1, math.inf),
+                                    s, s + 1)[1][1]
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("with_offsets", [False, True])
+def test_scan_bound_stays_within_its_rounding_of_the_exact_bound(m, with_offsets):
+    # the search scans at eps + scan_rounding, so every index that the exact
+    # check accepts is offered only if the two bounds stay this close, at
+    # every class and from s = 0 to the top of the s range
+    rng = np.random.default_rng([m, with_offsets])
+    count = sd.resonance_partition(m).count
+    for ell in range(1, count + 1):
+        members, nu_kernel = tw._torus_data(m, ell)
+        t_hat = float(rng.uniform(-5, 5))
+        offsets = tuple((h, float(rng.uniform(-2, 2))) for h in range(2, count + 1)
+                        if h != ell and with_offsets)
+        phases = _offset_phases(m, ell, t_hat, offsets)
+        rounding = _kernels.scan_rounding(members, phases)
+        assert rounding < 1e-12
+        grid = [s for base in (0, 10**7, 10**12, 2**53 - 40) for s in range(base, base + 40)]
+        exact = tw._exact_batch(members, nu_kernel, grid, phases)[0]
+        got = [_kernel_bound(members, nu_kernel, phases, s) for s in grid]
+        assert np.max(np.abs(np.array(got) - exact)) <= rounding
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +343,7 @@ def test_search_exhausted_carries_best():
         min(brute_bound(4, 2, 1.3, s) for s in range(51)), abs=1e-9)
     # across several scan windows, best_s is the first argmin of the full scan
     members, nu_kernel = tw._torus_data(4, 2)
-    w, cls_ptr = _scan_arrays(members)
-    tot = full_scan_bounds(1.3, 2 * np.pi / np.sqrt(nu_kernel), w, cls_ptr, 0, 20001)
+    tot = full_scan_bounds(members, nu_kernel, 1.3, 0, 20001)
     with pytest.raises(SearchExhaustedError) as exc:
         tw.find_decoupling_time(dataclasses.replace(req, s_max=20000))
     assert exc.value.best_s == int(np.argmin(tot))
@@ -639,16 +651,14 @@ def test_scan_kernel_with_offsets_matches_block_scan(seed):
         m = int(rng.choice([4, 6, 8]))
         ell, offsets = _random_run(rng, m)
         members, nu_kernel = tw._torus_data(m, ell)
-        w, cls_ptr = _scan_arrays(members)
-        step = 2 * np.pi / np.sqrt(nu_kernel)
         phases = _offset_phases(m, ell, float(rng.uniform(-5, 5)), offsets)
         s0 = s_base + int(rng.integers(0, 10**5))
         s1 = s0 + int(rng.integers(10**4, 3 * 10**5))
         for eps, best_bound in ((float(rng.uniform(0.05, 0.5)), math.inf),
                                 (0.01, float(rng.uniform(0.2, 1.0))),
                                 (2.5, 3.0)):
-            best_s = -1 if best_bound == math.inf else 7
-            _assert_scan_matches((phases, step, w, cls_ptr, eps, s0, s1, best_s, best_bound),
+            best = (-1 if best_bound == math.inf else 7, best_bound)
+            _assert_scan_matches((members, nu_kernel, phases, eps, best, s0, s1),
                                  oracle=helpers.block_scan)
 
 
@@ -667,13 +677,11 @@ def test_run_search_returns_the_smallest_qualifying_s(m, seed):
     assert res.bound < eps
     assert res.bound == pytest.approx(offset_bound(m, ell, t_hat, offsets, res.s), abs=1e-12)
     members, nu_kernel = tw._torus_data(m, ell)
-    w, cls_ptr = _scan_arrays(members)
-    step = 2 * np.pi / np.sqrt(nu_kernel)
     phases = _offset_phases(m, ell, t_hat, offsets)
     s = 0
     while True:
-        cand = helpers.block_scan(phases, step, w, cls_ptr, eps + 1e-9, s, res.s + 1,
-                                  -1, math.inf)[0]
+        cand = helpers.block_scan(members, nu_kernel, phases, eps + 1e-9, (-1, math.inf),
+                                  s, res.s + 1)[0]
         assert cand >= 0
         if offset_bound(m, ell, t_hat, offsets, cand) < eps:
             break
@@ -707,11 +715,10 @@ def test_zero_offsets_give_the_scalar_bits(m):
                 assert got == want
                 assert _bits(got.per_class_error).tolist() == _bits(want.per_class_error).tolist()
         members, nu_kernel = tw._torus_data(m, ell)
-        w, cls_ptr = _scan_arrays(members)
-        step = 2 * np.pi / np.sqrt(nu_kernel)
-        args = (step, w, cls_ptr, 0.2, 10**6, 10**6 + 50000, -1, math.inf)
-        assert _kernels.scan_decoupling([t_hat - 0.0] * len(members), *args) == \
-            _kernels.scan_decoupling(t_hat, *args)
+        args = (0.2, (-1, math.inf), 10**6, 10**6 + 50000)
+        assert _kernels.scan_decoupling(members, nu_kernel, [t_hat - 0.0] * len(members),
+                                        *args) == \
+            _kernels.scan_decoupling(members, nu_kernel, t_hat, *args)
         grid = [0, 17, 10**9 + 3]
         for a, b in zip(tw._exact_batch(members, nu_kernel, grid, [t_hat - 0.0] * len(members)),
                         tw._exact_batch(members, nu_kernel, grid, t_hat)):
