@@ -2,7 +2,7 @@
 
 Modules
 -------
-operator_core        basis indexing, coupling operators, exact segment flows
+operator_core        coupling operators, exact segment flows
 spectral_decoupling  exact frequencies, resonance classes, class generators
 torus_winding        lifted-time selection and certification
 lie_certifier        Lie-closure controllability certificates
@@ -16,12 +16,3 @@ projectors and the internal-major block patterns are test oracles in
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    lie_certifier,
-    lift_simulator,
-    modal_planner,
-    operator_core,
-    spectral_decoupling,
-    torus_winding,
-)

@@ -111,12 +111,13 @@ def rotate_pairs(state, pj, pk, betas, kinds):
 # The basis depends only on H/rho: it is reduced once per power of two of
 # that ratio, each from the one before, and cached.
 #
-# Where the screen passes a large share (thr/2 >= 1, no class with an
-# irrational alpha, or more than one lattice point per eight indices), or the
-# window is shorter than _ENUM_MIN, every s is evaluated, _BLOCK steps at a
-# time.  Otherwise a piece holds about _ENUM_POINTS expected lattice points,
-# so memory follows the survivors.  Pieces run in order; a piece's best
-# tightens thr for the next ones.  A non-finite phase is a ValueError.
+# Where the screen passes a large share (thr/2 >= 1, or more than one
+# lattice point per eight indices, as with no class of irrational alpha,
+# where the density is sqrt(2)), or the window is shorter than _ENUM_MIN,
+# every s is evaluated, _BLOCK steps at a time.  Otherwise a piece holds
+# about _ENUM_POINTS expected lattice points, so memory follows the
+# survivors.  Pieces run in order; a piece's best tightens thr for the next
+# ones.  A non-finite phase is a ValueError.
 #
 # The hit threshold.  A caller that re-verifies hits with the exact
 # evaluator (torus_winding._exact_batch) scans at eps + scan_rounding, which
@@ -252,7 +253,7 @@ def _piece(screen, thr, p0, s1):
     # determinant, 1/(H * rho**d), per 2H indices
     density = math.pi ** ((d + 1) / 2) / math.gamma((d + 3) / 2) \
         * _ENUM_R2 ** ((d + 1) / 2) * rho**d / 2.0
-    if d == 0 or s1 - p0 < _ENUM_MIN or density > 0.125:
+    if s1 - p0 < _ENUM_MIN or density > 0.125:
         return min(s1, p0 + _BLOCK), None
     p1 = min(s1, p0 + int(_ENUM_POINTS / density))
     return p1, _enumerate(qs, den, beta, rho, p0, p1)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -36,14 +35,6 @@ EXIT_CONTRACT = 1
 EXIT_USAGE = 2
 EXIT_PLANNER = 3
 EXIT_SEARCH = 4
-
-SEED_ENV = "SIDEBAND_STEER_SEED"
-
-
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV, "").strip()
-    return int(env) if env else 0
-
 
 _TERM_RE = re.compile(r"^([+-]?)(\d+\.?\d*|\.\d+)?\s*e(\d+)$")
 
@@ -266,8 +257,7 @@ def cmd_plan(args) -> int:
 def cmd_lift(args) -> int:
     if args.eps <= 0:
         raise ValueError("eps must be positive")
-    plan = _read_artifact(args.plan, lambda d: mp.Plan.from_json(
-        d if "segments" in d else d["plan"]))
+    plan = _read_artifact(args.plan, mp.Plan.from_json)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args)
@@ -410,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=_finite_float, default=0.1)
         p.add_argument("--eps-plan", dest="eps_plan", type=_finite_float, default=None)
         p.add_argument("--M", type=_finite_float, default=1.0)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=mp.DEFAULT_BUDGET)
         p.add_argument("--family", default="full", choices=list(oc.FAMILIES))
         p.add_argument("--phi0", default="e1")
@@ -433,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lifted", required=True)
     p.add_argument("--phi0", default="e1")
     p.add_argument("--phiT", default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("run-e2e", help="certify, plan, lift, simulate, verify")
@@ -452,19 +442,13 @@ def _parser_for(argv) -> argparse.ArgumentParser:
 
     Building it costs more than a short command, so it is built once per
     process.  A --config call rewrites defaults and ``required`` flags in
-    place, so it gets a fresh parser of its own.  Either way the --seed
-    default is read from SIDEBAND_STEER_SEED anew.
+    place, so it gets a fresh parser of its own.
     """
     global _PARSER
     if _config_path(argv) is not None:
         return build_parser()
     if _PARSER is None:
         _PARSER = build_parser()
-    seed = _default_seed()
-    for p in _walk_parsers(_PARSER):
-        for a in p._actions:
-            if a.dest == "seed":
-                a.default = seed
     return _PARSER
 
 

@@ -23,13 +23,16 @@ in order, so the final span is closed under ad_g for every generator g.
 That span is the generated algebra, since every Lie word is a combination
 of left-normed brackets [g_1, [g_2, ...]].  A candidate is reduced
 against one fully reduced echelon form and accepted when it is nonzero.
+
+``lie_closure`` takes any list of generator ids.  The two certificates
+wrap it: ``certify_modal`` for a named ion family, ``certify_law_eberly``
+for the single-ion family of one sideband colour.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,8 +52,8 @@ class ClosureReport:
     certified: bool
     basis_rank_history: list[tuple[int, int]]
     q: int
-    n: int | None = None
-    labels: list[str] = field(default_factory=list)
+    n: int
+    labels: list[str]
 
     def to_json(self) -> dict:
         return {"n": self.n, "family": list(self.labels),
@@ -176,41 +179,20 @@ def lie_closure(ids, n: int) -> tuple[ClosureReport, np.ndarray]:
         j += 1
 
     report = ClosureReport(dimension=k, target=target, certified=k == target,
-                           basis_rank_history=history, q=q, labels=list(ids))
+                           basis_rank_history=history, q=q, n=n, labels=list(ids))
     return report, words[:k]
 
 
-def resolve_family(selector) -> tuple[str, ...]:
-    if isinstance(selector, (list, tuple)):
-        return tuple(selector)
-    return oc.family_ids(selector)
-
-
-def _hypothesis_met(ids) -> bool:
-    ids = set(ids)
-    return all(any({f"V{gamma}", f"W{gamma}", f"V{gamma}{star}", f"W{gamma}{star}"} <= ids
-                   for star in ("r", "b")) for gamma in (1, 2))
-
-
-def certify_modal(n: int, family="full") -> ClosureReport:
-    """Rank certificate for an ion generator family on the 4n-truncation.
+def certify_modal(n: int, family: str = "full") -> ClosureReport:
+    """Rank certificate for a named ion family (``operator_core.FAMILIES``)
+    on the 4n-truncation.
 
     Certified means the closure reaches dim su(4n) = 16n^2 - 1.  Requires
-    n >= 3; a family missing a carrier+sideband quadruple for some ion
-    only triggers a warning, since the closure may still be full.
+    n >= 3.  An ad-hoc generator list goes to ``lie_closure`` directly.
     """
     if n < 3:
         raise ValueError("modal certification requires n >= 3")
-    ids = resolve_family(family)
-    unknown = [i for i in ids if i not in oc.ION_IDS]
-    if unknown:
-        raise ValueError(f"not ion generators: {unknown}")
-    if not _hypothesis_met(ids):
-        warnings.warn("family misses a carrier+sideband quadruple for some ion; "
-                      "certification may still succeed", stacklevel=2)
-    rep, _ = lie_closure(ids, n)
-    rep.n = n
-    return rep
+    return lie_closure(oc.family_ids(family), n)[0]
 
 
 def certify_law_eberly(n: int, star: str) -> ClosureReport:
@@ -219,6 +201,4 @@ def certify_law_eberly(n: int, star: str) -> ClosureReport:
         raise ValueError("Law-Eberly certification requires n >= 2")
     if star not in ("r", "b"):
         raise ValueError("star must be 'r' or 'b'")
-    rep, _ = lie_closure(("V", "W", f"V{star}", f"W{star}"), n)
-    rep.n = n
-    return rep
+    return lie_closure(("V", "W", f"V{star}", f"W{star}"), n)[0]

@@ -1,9 +1,10 @@
-"""Fock-coordinate basis indexing, coupling operators, and exact segment flows.
+"""Coupling operators in Fock coordinates, and their exact segment flows.
 
 The state space is indexed 1-based by ``j = 4*phonon + offset(internal)``
-with internal levels ordered ``gg, eg, ge, ee`` (offsets 1..4).  Every
-coupling operator is a disjoint union of two-level blocks built from the
-skew-adjoint primitives
+with internal levels ordered ``gg, eg, ge, ee`` (offsets 1..4).  The pair
+tables below are written in that indexing; nothing at run time maps a
+level to its index.  Every coupling operator is a disjoint union of
+two-level blocks built from the skew-adjoint primitives
 
     E[j,k]: phi_j -> i phi_k, phi_k -> i phi_j
     F[j,k]: phi_j -> -phi_k,  phi_k -> phi_j
@@ -21,8 +22,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import InternalConsistencyError, TruncationOverflowError
-
-INTERNAL_LEVELS = ("gg", "eg", "ge", "ee")
 
 ION_IDS = ("V1", "W1", "V1r", "W1r", "V1b", "W1b",
            "V2", "W2", "V2r", "W2r", "V2b", "W2b")
@@ -80,17 +79,8 @@ def family_ids(name: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# basis indexing
+# states
 # ---------------------------------------------------------------------------
-
-
-def basis_index(internal: str, phonon: int) -> int:
-    """1-based basis index of the (internal, phonon) level."""
-    if internal not in INTERNAL_LEVELS:
-        raise ValueError(f"unknown internal level {internal!r}")
-    if phonon < 0:
-        raise ValueError("phonon level must be nonnegative")
-    return 4 * phonon + INTERNAL_LEVELS.index(internal) + 1
 
 
 def normalize(phi: np.ndarray) -> np.ndarray:

@@ -156,7 +156,8 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     "omega_h/omega_m irrational or zero" is checked exactly before
     searching (it reduces to m-1 square-free).  s_max must lie in
     [0, 2**53): the scan forms s*f in float64, and bounds its rounding only
-    below 2**53.
+    below 2**53.  A request whose phases are too large for float64 to
+    resolve its eps (``_kernels.scan_rounding`` >= eps) is a ValueError.
     Raises SearchExhaustedError with the best candidate when no s qualifies.
     """
     if not (oc.is_ion(req.id) and oc.is_sideband(req.id)):
@@ -177,7 +178,11 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
     phases = _run_phases(req, len(members))
     step = TWO_PI / math.sqrt(nu_kernel)
     # the scan's bound lies within scan_rounding of the exact one at every s
-    eps_scan = req.eps + _kernels.scan_rounding(members, phases)
+    rounding = _kernels.scan_rounding(members, phases)
+    if rounding >= req.eps:
+        raise ValueError(f"t_hat={req.t_hat:g} is too large for eps={req.eps:g}: its float "
+                         f"phases resolve the bound only to {rounding:.3g}")
+    eps_scan = req.eps + rounding
 
     def accept(s: int) -> DecouplingResult | None:
         bounds, per_class, residuals = _exact_batch(members, nu_kernel, [s], phases)

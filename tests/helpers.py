@@ -10,7 +10,7 @@ list into the dense matrix that the float oracles compare against, and
 ``rank_mod`` is the rank over F_q of plain Gaussian elimination, for the
 exact Lie certificate.  ``segment_flow`` is one segment of the
 runtime ``SegmentProgram`` path that both simulators use,
-``basis_split`` inverts the runtime ``operator_core.basis_index``,
+``basis_split`` maps a basis index to its (internal level, phonon),
 ``gradient_check`` compares the gradient derived from the planner
 kernel's Jacobian with central differences, and ``block_scan`` is the
 decoupling scan that tests every winding index, with a per-radicand
@@ -67,11 +67,14 @@ def basis_state(j, dim):
     return phi
 
 
+INTERNAL_LEVELS = ("gg", "eg", "ge", "ee")
+
+
 def basis_split(j):
-    """Inverse of ``operator_core.basis_index``."""
+    """(internal level, phonon) of the 1-based basis index j = 4*phonon + offset."""
     if j < 1:
         raise ValueError("basis index is 1-based")
-    return oc.INTERNAL_LEVELS[(j - 1) % 4], (j - 1) // 4
+    return INTERNAL_LEVELS[(j - 1) % 4], (j - 1) // 4
 
 
 def build_D(n):

@@ -367,6 +367,9 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
     # float64, whose rounding it bounds only there
     (["decouple", "--op", "V1r", "--m", "4", "--class", "2", "--t-hat", "1.0",
       "--eps", "0.05", "--s-max", str(2**53 + 1)], 2),
+    # the float phase at t_hat 1e15 cannot resolve eps 0.001: refused at once
+    (["decouple", "--op", "V1r", "--m", "6", "--class", "2", "--t-hat", "1e15",
+      "--eps", "0.001", "--s-max", "20000"], 2),
     (["lift", "--plan", "{dir}/plan_valid.json", "--eps", "0.1", "--s-max", "-1"], 2),
     (["plan", "--phi0=e1+", "--budget", "2"], 2),
     # the exact certificate refuses dimension 160 before it allocates anything
@@ -386,6 +389,7 @@ _PLAN = {"p": 3, "M": 1.0, "seed": 0, "family": "full", "target_error": 0.01,
         "config-n-whole-float", "config-seed-float", "config-s-max-float",
         "plan-eps-nan", "plan-M-nan", "decouple-t-hat-nan", "decouple-eps-nan",
         "decouple-eps-inf", "decouple-s-max-negative", "decouple-s-max-2-53",
+        "decouple-t-hat-unresolvable",
         "lift-s-max-negative", "plan-phi0-dangling-sign", "certify-n-40",
         "run-e2e-n-40"])
 def test_malformed_input_is_a_usage_error(argv, want, tmp_path, capsys):
@@ -481,14 +485,6 @@ def test_plan_run_imports_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "1234")
-    parser = cli.build_parser()
-    # parser defaults are bound at build time, so rebuild under the env var
-    args = parser.parse_args(["plan", "--n", "3"])
-    assert args.seed == 1234
-
-
 def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
     built = []
     build = cli.build_parser
@@ -504,18 +500,6 @@ def test_parser_is_built_once_per_process(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
-def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
-    # the parser is built once, but the --seed default follows the variable
-    for seed in ("11", "12"):
-        monkeypatch.setenv(cli.SEED_ENV, seed)
-        out = tmp_path / seed
-        assert run(["plan", "--n", "3", "--budget", "2", "--output-dir", str(out)]) in (0, 3)
-        assert json.loads((out / "plan.json").read_text())["config"]["seed"] == int(seed)
-    monkeypatch.delenv(cli.SEED_ENV)
-    assert run(["plan", "--n", "3", "--budget", "2", "--output-dir", str(tmp_path / "0")]) in (0, 3)
-    assert json.loads((tmp_path / "0" / "plan.json").read_text())["config"]["seed"] == 0
-
-
 def test_config_call_leaks_nothing_into_the_next_call(tmp_path, capsys):
     # --config sets defaults and drops required flags on its own parser only
     cfg = tmp_path / "cfg.json"
@@ -527,8 +511,7 @@ def test_config_call_leaks_nothing_into_the_next_call(tmp_path, capsys):
                 "--output-dir", str(tmp_path / "a")]) in (0, 3)
     assert json.loads((tmp_path / "a" / "plan.json").read_text())["config"]["seed"] == 99
     assert run(["plan", "--n", "3", "--budget", "2", "--output-dir", str(tmp_path / "b")]) in (0, 3)
-    assert json.loads((tmp_path / "b" / "plan.json").read_text())["config"]["seed"] == \
-        cli._default_seed()
+    assert json.loads((tmp_path / "b" / "plan.json").read_text())["config"]["seed"] == 0
 
 
 def test_exit_codes_partition(tmp_path):

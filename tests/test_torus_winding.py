@@ -195,11 +195,12 @@ def test_scan_kernel_evaluates_everything_at_thresholds_of_two():
                               10**9, 10**9 + 70000))
 
 
-@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_scan_kernel_matches_full_evaluation_for_the_zero_class(m):
     # selecting the zero class makes alpha = 1 for the integer-frequency
     # class: its term is the same at every s, and only the distance of
-    # t_hat/(2*pi) to an integer decides whether anything survives
+    # t_hat/(2*pi) to an integer decides whether anything survives.  At
+    # m = 2 no class has an irrational alpha, and every s is evaluated
     members, nu_kernel = tw._torus_data(m, 1)
     assert nu_kernel == 1
     for t_hat in (0.0, 0.01, 2 * np.pi - 0.02, -4 * np.pi + 0.05, 1.0, np.pi / 2):
@@ -208,6 +209,33 @@ def test_scan_kernel_matches_full_evaluation_for_the_zero_class(m):
                                 (float(np.nextafter(tot.min(), math.inf)), 1.5)):
             _assert_scan_matches((members, nu_kernel, t_hat, eps, (5, best_bound),
                                   1000, 200000))
+
+
+@pytest.mark.parametrize("delta", [3e-5, -3e-5])
+@pytest.mark.parametrize("at_end", [False, True])
+def test_scan_kernel_keeps_a_survivor_on_the_corner_of_its_ball(delta, at_end):
+    # m=3, ell=2 scans one class, alpha = sqrt(2).  t_hat puts s_star delta
+    # from an integer, and eps one ulp above its bound makes it the window's
+    # first hit: it lies on the face of the screen's cross-polytope, |z_1| = 1.
+    # As the first or last index of a window of 2*2378 + 1 indices it also
+    # has |z_0| = 1, a corner of the enumeration's ball |z|^2 <= 2, which
+    # only the margins of rho and r2 keep inside.  2378*sqrt(2) lies within
+    # 1.5e-4 of an integer, so the window's centre is near an integer too,
+    # and r2's term in the centre's distance adds next to nothing
+    members, nu_kernel = tw._torus_data(3, 2)
+    s_star, half = 10**6, 2378
+    t_hat = 2 * np.pi * (delta - s_star * math.sqrt(2) % 1.0) / math.sqrt(2)
+    s0 = s_star - 2 * half if at_end else s_star
+    s1 = s0 + 2 * half + 1
+    eps = float(np.nextafter(_kernel_bound(members, nu_kernel, t_hat, s_star), math.inf))
+    # the whole window is one enumerated piece, and s_star is in it
+    classes = _kernels._classes(tuple(map(tuple, members)), nu_kernel)
+    _, screen = _kernels._screen(classes, [t_hat] * len(members), nu_kernel)
+    p1, s = _kernels._piece(screen, eps, s0, s1)
+    assert p1 == s1 and s is not None and s_star in s
+    _assert_scan_matches((members, nu_kernel, t_hat, eps, (7, eps), s0, s1))
+    assert _kernels.scan_decoupling(members, nu_kernel, t_hat, eps, (7, eps), s0, s1)[0] \
+        == s_star
 
 
 # The 19 reference requests (perfbench/winding_reference.json, acceptance C4)
@@ -331,6 +359,20 @@ def test_non_finite_request_rejected(t_hat, eps):
     req = tw.DecouplingRequest(id="V1r", m=4, ell=2, t_hat=t_hat, eps=eps, s_max=1000)
     with pytest.raises(ValueError, match="finite"):
         tw.find_decoupling_time(req)
+
+
+def test_unresolvable_t_hat_rejected():
+    # at t_hat 1e15 the float phases sqrt(r)*t_hat keep no fractional digits:
+    # the scan's rounding term exceeds eps, and the search is refused at once
+    members, _ = tw._torus_data(6, 2)
+    assert _kernels.scan_rounding(members, 1e15) > 9.5
+    req = tw.DecouplingRequest("V1r", 6, 2, 1e15, 0.001, s_max=20000)
+    with pytest.raises(ValueError, match="too large for eps"):
+        tw.find_decoupling_time(req)
+    # at 1e9 the term is about 1e-5, well below eps, and the search runs
+    assert _kernels.scan_rounding(members, 1e9) < 1e-5
+    with pytest.raises(SearchExhaustedError):
+        tw.find_decoupling_time(dataclasses.replace(req, t_hat=1e9, s_max=2000))
 
 
 def test_search_exhausted_carries_best():
