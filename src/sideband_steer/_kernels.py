@@ -10,11 +10,13 @@ enough, and evaluates the bound on those alone, in fixed point.
 All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
 a bundle of independent 2x2 rotations, never a dense matrix exponential.
-``rotate_pairs`` applies them to a state or to a block of columns alike.
-The planner kernel scatters the same 2x2 rotation entries into a dense
-stack of small propagators, one per segment: the forward sweep is one
-mat-vec per segment, and the backward sweep that builds the Jacobian one
-small matrix product per segment.
+``_rotation`` computes the rotation entries of any number of pairs in one
+pass, so a whole segment program needs one call; ``rotate_pairs`` applies
+given entries to a state or to a block of columns alike.  The planner
+kernel scatters the same entries into a dense stack of small propagators,
+one per segment: the forward sweep is one mat-vec per segment, and the
+backward sweep that builds the Jacobian one small matrix product per
+segment.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ def _rotation(betas, kinds):
     return c, up, np.where(kinds == 0, up, -up)
 
 
-def rotate_pairs(state, pj, pk, betas, kinds):
+def rotate_pairs(state, pj, pk, c, up, lo):
     """Apply disjoint 2x2 rotations, in place, to the rows of ``state``:
-    a state vector or a (dim, ncols) block of columns."""
+    a state vector or a (dim, ncols) block of columns.  ``c``, ``up`` and
+    ``lo`` are the pairs' rotation entries from :func:`_rotation`."""
     if len(pj) == 0:
         return state
-    c, up, lo = _rotation(betas, kinds)
     if state.ndim == 2:  # one rotation per row, applied to every column
         c, up, lo = c[:, None], up[:, None], lo[:, None]
     a = state[pj]

@@ -67,10 +67,8 @@ def parse_state_spec(spec: str, dim: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _write_json(path: Path, payload: dict, config: dict) -> None:
-    payload = {"config": config, **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps({"config": config, **payload}, indent=2, sort_keys=True)
+    path.write_text(text + "\n")
 
 
 def _config_dict(args) -> dict:

@@ -8,7 +8,9 @@ schedule is the fewest whole cycles with 1.5 angles per real degree of
 freedom of the transfer (``_ANGLES_PER_DOF``): more angles than real
 equations, so the residual can reach zero and the damped Gauss-Newton
 steps converge quadratically, and no more, since every sideband angle
-later costs a winding search and a share of the lift budget.
+later costs a winding search and a share of the lift budget.  A plan
+needs to land only within its share ``eps_plan`` of the target, so each
+run stops at its first point within eps_plan/2, not at the rounding floor.
 Segment angles factor on output as amplitude = +-M, duration = |angle|/M,
 so every returned segment respects the control bound with the shortest
 possible duration.
@@ -208,10 +210,12 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
 
     Multi-start Levenberg-Marquardt over segment angles on a cyclic
     generator schedule that starts at 1.5 angles per real degree of
-    freedom and grows geometrically across restarts; stops as soon as the
-    L2 error drops below eps_plan or the evaluation budget runs out (the
-    best plan found is returned either way, with its honest achieved
-    error).
+    freedom and grows geometrically across restarts.  Each run stops at
+    its first point whose L2 error is below eps_plan/2, not at the
+    rounding floor, and planning stops with the first run that gets there
+    or when the evaluation budget runs out (the best plan found is
+    returned either way, with its honest achieved error, which the half
+    margin keeps below eps_plan after pruning and re-simulation).
     """
     if p < 3 or not sd.is_prime(p):
         raise ValueError("planning order p must be a prime >= 3")
@@ -247,7 +251,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
                                              prog.pk, prog.coeff, prog.kind)
             return np.concatenate((r.real, r.imag)), np.concatenate((jac.real, jac.imag))
 
-        res = minimize(fun, theta0, maxiter=min(800, iters_left))
+        res = minimize(fun, theta0, min(800, iters_left), eps_plan * 0.5)
         iters_left -= max(res.nit, 1)
         err = float(np.sqrt(max(res.fun, 0.0)))
         if best is None or err < best[0]:
@@ -290,7 +294,9 @@ def _cycle_schedule(ngens: int, dim: int) -> list[int]:
 # after a step that lowers f = |r|^2, to no less than _LAMBDA_MIN, so that
 # the damped matrix stays well conditioned where J J^T is singular, and
 # rises tenfold after a step that does not.  It stops after maxiter
-# evaluations, at f == 0, when a step moves f by at most _FTOL * max(f, 1)
+# evaluations, at the first accepted point whose residual norm sqrt(f) is
+# below the caller's target (a plan needs no more than its share of the
+# error), at f == 0, when a step moves f by at most _FTOL * max(f, 1)
 # either way (at the rounding floor), or when lam passes _LAMBDA_MAX.
 # ---------------------------------------------------------------------------
 
@@ -304,16 +310,17 @@ class MinimizeResult(NamedTuple):
     nit: int
 
 
-def minimize(fun, x0, maxiter: int) -> MinimizeResult:
+def minimize(fun, x0, maxiter: int, target: float = 0.0) -> MinimizeResult:
     """Minimize f = |r|^2 from ``x0`` by Levenberg-Marquardt, where
-    ``fun(x) -> (r, J)`` gives the real residual and its Jacobian.  ``nit``
+    ``fun(x) -> (r, J)`` gives the real residual and its Jacobian, until
+    |r| falls below ``target`` (0 runs to the rounding floor).  ``nit``
     counts the evaluations after the first."""
     x = np.array(x0, dtype=np.float64)
     r, jac = fun(x)
     f = float(r @ r)
     lam = 1e-3
     nit = 0
-    while nit < maxiter and f > 0.0 and lam <= _LAMBDA_MAX:
+    while nit < maxiter and f > 0.0 and math.sqrt(f) >= target and lam <= _LAMBDA_MAX:
         jjt = jac @ jac.T
         # the mean of diag(J J^T) sets the damping's scale; J = 0 gives 1
         mu = lam * (np.trace(jjt) / len(r) or 1.0)

@@ -267,17 +267,20 @@ class SegmentProgram:
     def states(self, phi0: np.ndarray, thetas) -> np.ndarray:
         """Row 0 is ``phi0``, row k+1 the state after segment k.
 
-        ``phi0`` must already live in the program's dimension.  Every
-        segment is one ``_kernels.rotate_pairs`` call.
+        ``phi0`` must already live in the program's dimension.  The
+        rotation entries of every pair come from one ``_kernels._rotation``
+        call; every segment is then one ``_kernels.rotate_pairs`` call.
         """
         nseg = len(self.ptr) - 1
         if len(thetas) != nseg:
             raise ValueError(f"{len(thetas)} angles for {nseg} segments")
+        betas = np.repeat(np.asarray(thetas, dtype=np.float64), np.diff(self.ptr)) * self.coeff
+        cos, upper, lower = _kernels._rotation(betas, self.kind)
         out = np.empty((nseg + 1, len(phi0)), dtype=np.complex128)
         out[0] = phi0
         for k in range(nseg):
             lo, hi = self.ptr[k], self.ptr[k + 1]
             out[k + 1] = out[k]
             _kernels.rotate_pairs(out[k + 1], self.pj[lo:hi], self.pk[lo:hi],
-                                  thetas[k] * self.coeff[lo:hi], self.kind[lo:hi])
+                                  cos[lo:hi], upper[lo:hi], lower[lo:hi])
         return out

@@ -283,13 +283,13 @@ def verify_sigma(req: DecouplingRequest, res: DecouplingResult, dim_sim: int) ->
 
     cols = np.zeros((dim_sim, ydim), dtype=np.complex128)
     cols[:ydim] = np.eye(ydim)
-    _kernels.rotate_pairs(cols, pj, pk, betas_full, pt)  # exp(t_bar U)
+    _kernels.rotate_pairs(cols, pj, pk, *_kernels._rotation(betas_full, pt))  # exp(t_bar U)
     full_flow = cols.copy()
     # the planned class flows act on disjoint pairs, so they commute
     planned = [ell_class_betas(req.id, dim_sim, part, h, -t)
                for h, t in ((req.ell, req.t_hat), *req.offsets)]
     for (lj, lk, lt), lbetas in planned:
-        _kernels.rotate_pairs(cols, lj, lk, lbetas, lt)  # exp(-P)
+        _kernels.rotate_pairs(cols, lj, lk, *_kernels._rotation(lbetas, lt))  # exp(-P)
 
     sigma_minus_i = cols.copy()
     sigma_minus_i[:ydim] -= np.eye(ydim)
@@ -298,7 +298,7 @@ def verify_sigma(req: DecouplingRequest, res: DecouplingResult, dim_sim: int) ->
     # identity check: exp(P) Sigma == exp(t_bar U) on Y
     recomposed = cols.copy()
     for (lj, lk, lt), lbetas in planned:
-        _kernels.rotate_pairs(recomposed, lj, lk, -lbetas, lt)
+        _kernels.rotate_pairs(recomposed, lj, lk, *_kernels._rotation(-lbetas, lt))
     ident_err = float(np.linalg.norm(recomposed - full_flow, ord=2))
     if ident_err > 1e-10:
         raise InternalConsistencyError(

@@ -8,9 +8,9 @@ what C3 checks; it routes pairs through the package's own class rule,
 ``spectral_decoupling.class_mask``.  ``dense`` expands an operator's pair
 list into the dense matrix that the float oracles compare against, and
 ``rank_mod`` is the rank over F_q of plain Gaussian elimination, for the
-exact Lie certificate.  ``segment_flow`` is one segment of the
-runtime ``SegmentProgram`` path that both simulators use,
-``basis_split`` maps a basis index to its (internal level, phonon),
+exact Lie certificate.  ``rotate`` applies pair rotations given by
+angle, ``segment_flow`` is one segment of the runtime ``SegmentProgram``
+path that both simulators use, ``basis_split`` maps a basis index to its (internal level, phonon),
 ``gradient_check`` compares the gradient derived from the planner
 kernel's Jacobian with central differences, and ``block_scan`` is the
 decoupling scan that tests every winding index, with a per-radicand
@@ -178,6 +178,11 @@ def decompose(op, m):
         select(dec), select(op.radicand >= m),
         [class_projector(op.id, part, j, op.dim) for j in classes]
         + [_projector(op.dim, np.concatenate([op.pj[dec], op.pk[dec]]))])
+
+
+def rotate(state, pj, pk, betas, kinds):
+    """Rotate the pairs of ``state`` in place by the angles ``betas``."""
+    return _kernels.rotate_pairs(state, pj, pk, *_kernels._rotation(betas, kinds))
 
 
 def segment_flow(cid, theta, phi, dim):

@@ -208,8 +208,8 @@ def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
     for k in range(nseg):
         states[k + 1] = states[k]
         lo, hi = seg_ptr[k], seg_ptr[k + 1]
-        _kernels.rotate_pairs(states[k + 1], pj[lo:hi], pk[lo:hi], thetas[k] * pc[lo:hi],
-                              pkind[lo:hi])
+        helpers.rotate(states[k + 1], pj[lo:hi], pk[lo:hi], thetas[k] * pc[lo:hi],
+                       pkind[lo:hi])
     mu = states[nseg] - target
     f = float(np.sum(mu.real**2 + mu.imag**2))
     grad = np.zeros(nseg, dtype=np.float64)
@@ -221,7 +221,7 @@ def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
         sj = np.where(e, 1j * c, c) * phi[kk]
         sk = np.where(e, 1j * c, -c) * phi[j]
         grad[k] = 2.0 * float(np.sum((np.conj(mu[j]) * sj + np.conj(mu[kk]) * sk).real))
-        _kernels.rotate_pairs(mu, j, kk, -thetas[k] * c, pkind[lo:hi])
+        helpers.rotate(mu, j, kk, -thetas[k] * c, pkind[lo:hi])
     return f, grad
 
 
@@ -236,7 +236,7 @@ def jacobian_column(thetas, states, k, seg_ptr, pj, pk, pc, pkind):
     col[kk] = np.where(e, 1j * c, -c) * states[k + 1][j]
     for m in range(k + 1, len(thetas)):
         lo, hi = seg_ptr[m], seg_ptr[m + 1]
-        _kernels.rotate_pairs(col, pj[lo:hi], pk[lo:hi], thetas[m] * pc[lo:hi], pkind[lo:hi])
+        helpers.rotate(col, pj[lo:hi], pk[lo:hi], thetas[m] * pc[lo:hi], pkind[lo:hi])
     return col
 
 
@@ -351,15 +351,59 @@ def test_minimize_keeps_the_damped_matrix_nonsingular():
     assert res.fun < 1e-22 and res.nit == 20
 
 
+def test_minimize_stops_at_the_first_step_below_its_target():
+    def run(target):
+        norms = []
+
+        def fun(x):
+            r, jac = rosenbrock(x)
+            norms.append(float(np.sqrt(r @ r)))
+            return r, jac
+
+        res = mp.minimize(fun, np.array([-1.2, 1.0]), 500, target)
+        return res, norms
+
+    full, full_norms = run(0.0)
+    target = 1e-3
+    # the unstopped run passes the target and goes on to the rounding floor
+    assert full.fun < 1e-16 and min(full_norms[:-1]) < target
+    res, norms = run(target)
+    assert len(norms) == res.nit + 1 < len(full_norms)
+    assert float(np.sqrt(res.fun)) == norms[-1] < target
+    # a rejected step raises f, so no point before the last was below it
+    assert all(n >= target for n in norms[:-1])
+
+
+def test_plans_stop_at_their_target_not_at_the_rounding_floor(monkeypatch):
+    evals = []
+    objective_grad = _kernels.objective_grad
+
+    def counted(*args):
+        evals.append(1)
+        return objective_grad(*args)
+
+    monkeypatch.setattr(_kernels, "objective_grad", counted)
+    rng = np.random.default_rng([5, 22])
+    phi0, phiT = oc.random_state(20, rng), oc.random_state(20, rng)
+    plans = {}
+    for eps_plan in (1e-2, 1e-12):
+        evals.clear()
+        plans[eps_plan] = mp.plan_transfer(phi0, phiT, 5, eps_plan=eps_plan, seed=3), len(evals)
+    (loose, loose_evals), (tight, tight_evals) = plans[1e-2], plans[1e-12]
+    assert 1e-10 <= loose.achieved_error < 5e-3
+    assert tight.achieved_error < 1e-12
+    assert loose_evals < tight_evals
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("family", oc.FAMILIES)
 def test_tight_plans_converge_without_a_restart(p, family, monkeypatch):
     runs = []
     minimize = mp.minimize
 
-    def counted(fun, x0, maxiter):
+    def counted(fun, x0, maxiter, target):
         runs.append(len(x0))
-        return minimize(fun, x0, maxiter)
+        return minimize(fun, x0, maxiter, target)
 
     monkeypatch.setattr(mp, "minimize", counted)
     for seed in range(5):

@@ -181,6 +181,29 @@ def test_segment_matches_expm(rng):
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
+def test_program_states_equal_per_segment_rotations():
+    # the rotation entries of the whole program, computed at once, give the
+    # bits of one rotation per segment by its own angles
+    rng = np.random.default_rng(22)
+    dim = 16
+    ops = [oc.truncate(cid, dim) for cid in ("V1", "W1r", "V2b", "W2")]
+    ops.insert(2, oc.truncate("V1r", 4))  # no pair of V1r fits in 4 levels
+    prog = oc.SegmentProgram.from_operators(ops).tile(3)
+    assert 0 in np.diff(prog.ptr)
+    thetas = rng.uniform(-3, 3, size=len(prog.ptr) - 1)
+    thetas[6] = 0.0
+    phi0 = oc.random_state(dim, rng)
+    want = np.empty((len(thetas) + 1, dim), dtype=np.complex128)
+    want[0] = phi0
+    for k, theta in enumerate(thetas):
+        a, b = prog.ptr[k], prog.ptr[k + 1]
+        want[k + 1] = want[k]
+        helpers.rotate(want[k + 1], prog.pj[a:b], prog.pk[a:b], theta * prog.coeff[a:b],
+                       prog.kind[a:b])
+    got = prog.states(phi0, thetas.tolist())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("kind", [0, 1], ids=["E", "F"])
 def test_rotate_pairs_block_equals_per_column_calls(kind):
     # one kernel rotates the rows of a state or of a (dim, ncols) block alike
@@ -192,9 +215,10 @@ def test_rotate_pairs_block_equals_per_column_calls(kind):
     kinds = np.full(npairs, kind, dtype=np.uint8)
     block = rng.normal(size=(dim, ncols)) + 1j * rng.normal(size=(dim, ncols))
     cols = [block[:, c].copy() for c in range(ncols)]
-    _kernels.rotate_pairs(block, pj, pk, betas, kinds)
+    rot = _kernels._rotation(betas, kinds)
+    _kernels.rotate_pairs(block, pj, pk, *rot)
     for col in cols:
-        _kernels.rotate_pairs(col, pj, pk, betas, kinds)
+        _kernels.rotate_pairs(col, pj, pk, *rot)
     assert np.array_equal(block.view(np.int64), np.stack(cols, axis=1).view(np.int64))
 
 

@@ -544,7 +544,7 @@ def test_expbart_periodicity_operator_level():
     dim = 20
     (lj, lk, lt), lb_hat = tw.ell_class_betas("V1r", dim, part, 2, req.t_hat)
     cols_hat = np.eye(dim, dtype=complex)
-    _kernels.rotate_pairs(cols_hat, lj, lk, lb_hat, lt)
+    helpers.rotate(cols_hat, lj, lk, lb_hat, lt)
     # t_bar version through the exact winding reduction
     pj, pk, pc, pt, pr = oc.pair_arrays("V1r", dim)
     mask = sd.class_mask(part, 2, pr)
@@ -552,7 +552,7 @@ def test_expbart_periodicity_operator_level():
                           exact_residual(int(r), res.nu_kernel, res.s, res.t_hat)
                           for c, r in zip(pc[mask], pr[mask])])
     cols_bar = np.eye(dim, dtype=complex)
-    _kernels.rotate_pairs(cols_bar, pj[mask], pk[mask], betas_bar, pt[mask])
+    helpers.rotate(cols_bar, pj[mask], pk[mask], betas_bar, pt[mask])
     assert np.max(np.abs(cols_bar - cols_hat)) < 1e-12
 
 
