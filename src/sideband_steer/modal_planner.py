@@ -240,6 +240,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
     best = None  # (error, thetas, cycles)
     iters_left = budget
     cycles_schedule = _cycle_schedule(len(gens), dim)
+    target = eps_plan * 0.5  # the margin absorbs pruning and re-simulation
     restart = 0
     while iters_left > 0:
         cycles = cycles_schedule[min(restart, len(cycles_schedule) - 1)]
@@ -251,12 +252,12 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
                                              prog.pk, prog.coeff, prog.kind)
             return np.concatenate((r.real, r.imag)), np.concatenate((jac.real, jac.imag))
 
-        res = minimize(fun, theta0, min(800, iters_left), eps_plan * 0.5)
+        res = minimize(fun, theta0, min(800, iters_left), target)
         iters_left -= max(res.nit, 1)
         err = float(np.sqrt(max(res.fun, 0.0)))
         if best is None or err < best[0]:
             best = (err, res.x, cycles)
-        if err < eps_plan * 0.5:
+        if err < target:
             break
         restart += 1
 
