@@ -14,9 +14,9 @@ a bundle of independent 2x2 rotations, never a dense matrix exponential.
 pass, so a whole segment program needs one call; ``rotate_pairs`` applies
 given entries to a state or to a block of columns alike.  The planner
 kernel scatters the same entries into a dense stack of small propagators,
-one per segment: the forward sweep is one mat-vec per segment, and the
-backward sweep that builds the Jacobian one small matrix product per
-segment.
+one per run of consecutive segments with pairwise disjoint pairs (their
+flows commute): the forward sweep is one mat-vec per run, and the backward
+sweep that builds the Jacobian one small matrix product per run.
 """
 
 from __future__ import annotations
@@ -399,46 +399,55 @@ def _lll(rows, coords, delta=0.99, max_swaps=10_000):
 #
 # Segment k is the flow U_k = exp(theta_k * S_k) of one disjoint-pair
 # operator (CSR layout seg_ptr / pj / pk / pc / pkind, rotation angle
-# theta_k * pc).  All nseg propagators of an evaluation are built at once as
-# a dense (nseg, dim, dim) stack: the identity, with the same rotation
-# entries that rotate_pairs applies (_rotation) scattered into it.
-# Forward: phi_{k+1} = U_k phi_k, one mat-vec per segment.
-# Residual: r = phi_K - target.
-# Jacobian: S_k commutes with U_k, so d phi_K / d theta_k = P_{k+1} S_k phi_{k+1}
-# with P_{k+1} = U_{K-1} ... U_{k+1} the flow of the later segments.  P starts
-# at the identity and is accumulated backward, P_k = P_{k+1} U_k, one small
-# matrix product per segment.
+# theta_k * pc).  The runs (CSR pointer ``runs`` over segments) group
+# consecutive segments whose pairs are pairwise disjoint: their flows
+# commute, and the run's flow V_r is the identity with every pair of its
+# segments rotated.  All nrun propagators of an evaluation are built at once
+# as a dense (nrun, dim, dim) stack, with the same rotation entries that
+# rotate_pairs applies (_rotation) scattered into it.
+# Forward: phi_{r+1} = V_r phi_r, one mat-vec per run.
+# Residual: r = phi_R - target.
+# Jacobian: S_k commutes with every flow of its run r, so d phi_R / d theta_k
+# = P_{r+1} S_k phi_{r+1}, with P_{r+1} = V_{R-1} ... V_{r+1} the flow of the
+# later runs.  P starts at the identity and is accumulated backward, P_r =
+# P_{r+1} V_r, one small matrix product per run; the columns of a run are
+# one product of P_{r+1} with the run's block of S_k phi_{r+1}.  A program
+# whose runs all have length 1 steps one segment at a time.
 # ---------------------------------------------------------------------------
 
 
-def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
-    """(r, J): the residual phi_K - target and its complex (dim, nseg)
+def objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind, runs):
+    """(r, J): the residual phi_R - target and its complex (dim, nseg)
     Jacobian in the segment angles."""
     nseg = len(thetas)
+    nrun = len(runs) - 1
     dim = phi0.shape[0]
     seg = np.repeat(np.arange(nseg), np.diff(seg_ptr))
+    run = np.repeat(np.arange(nrun), np.diff(seg_ptr[runs]))
     c, up, lo = _rotation(thetas[seg] * pc, pkind)
-    u = np.zeros((nseg, dim, dim), dtype=np.complex128)
-    u.reshape(nseg, dim * dim)[:, ::dim + 1] = 1.0
-    u[seg, pj, pj] = c
-    u[seg, pk, pk] = c
-    u[seg, pj, pk] = up
-    u[seg, pk, pj] = lo
-    phi = np.empty((nseg + 1, dim), dtype=np.complex128)
+    u = np.zeros((nrun, dim, dim), dtype=np.complex128)
+    u.reshape(nrun, dim * dim)[:, ::dim + 1] = 1.0
+    u[run, pj, pj] = c
+    u[run, pk, pk] = c
+    u[run, pj, pk] = up
+    u[run, pk, pj] = lo
+    phi = np.empty((nrun + 1, dim), dtype=np.complex128)
     phi[0] = phi0
-    for k in range(nseg):
-        np.dot(u[k], phi[k], out=phi[k + 1])
-    # S_k phi_{k+1} is cj * phi[pk] at pj and ck * phi[pj] at pk
+    for r in range(nrun):
+        np.dot(u[r], phi[r], out=phi[r + 1])
+    # S_k phi_{r+1} is cj * phi[pk] at pj and ck * phi[pj] at pk
     e = pkind == 0
-    after = seg + 1
+    after = run + 1
     sphi = np.zeros((nseg, dim), dtype=np.complex128)
     sphi[seg, pj] = np.where(e, 1j * pc, pc) * phi[after, pk]
     sphi[seg, pk] = np.where(e, 1j * pc, -pc) * phi[after, pj]
     jac = np.empty((nseg, dim), dtype=np.complex128)
     prod = np.eye(dim, dtype=np.complex128)
     nxt = np.empty_like(prod)
-    for k in range(nseg - 1, -1, -1):
-        np.dot(prod, sphi[k], out=jac[k])
-        np.dot(prod, u[k], out=nxt)
+    bounds = runs.tolist()
+    for r in range(nrun - 1, -1, -1):
+        a, b = bounds[r], bounds[r + 1]
+        np.dot(sphi[a:b], prod.T, out=jac[a:b])
+        np.dot(prod, u[r], out=nxt)
         prod, nxt = nxt, prod
-    return phi[nseg] - target, jac.T
+    return phi[nrun] - target, jac.T

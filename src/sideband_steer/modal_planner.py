@@ -249,7 +249,7 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
 
         def fun(th):
             r, jac = _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj,
-                                             prog.pk, prog.coeff, prog.kind)
+                                             prog.pk, prog.coeff, prog.kind, prog.runs)
             return np.concatenate((r.real, r.imag)), np.concatenate((jac.real, jac.imag))
 
         res = minimize(fun, theta0, min(800, iters_left), target)

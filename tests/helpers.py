@@ -205,7 +205,7 @@ def gradient_check(plan, phi0, phiT, step=1e-6):
 
     def f_grad(th):
         r, jac = _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
-                                         prog.coeff, prog.kind)
+                                         prog.coeff, prog.kind, prog.runs)
         return float(np.sum(r.real**2 + r.imag**2)), 2.0 * (jac.conj().T @ r).real
 
     _, grad = f_grad(thetas)

@@ -200,8 +200,9 @@ def test_gradient_discrepancy_scales_quadratically():
     assert d1 / d2 == pytest.approx(4.0, rel=0.35)
 
 
-def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind):
-    """The objective as pair rotations, one segment at a time (the oracle)."""
+def sparse_objective_grad(thetas, phi0, target, seg_ptr, pj, pk, pc, pkind, runs):
+    """The objective as pair rotations, one segment at a time (the oracle);
+    it takes the kernel's arguments and leaves ``runs`` unread."""
     nseg = len(thetas)
     states = np.empty((nseg + 1, phi0.shape[0]), dtype=np.complex128)
     states[0] = phi0
@@ -247,6 +248,7 @@ def _objective_programs():
             gens = mp.default_generator_ids(p, family)
             for cycles in (1, 3):
                 out.append(pytest.param(p, gens, cycles, id=f"p{p}-{family}-x{cycles}"))
+    out.append(pytest.param(11, mp.default_generator_ids(11), 1, id="p11-full-x1"))
     sideband = mp.default_generator_ids(5)[-1]
     out.append(pytest.param(5, [sideband], 1, id="p5-one-segment"))
     return out
@@ -259,7 +261,8 @@ def test_objective_matches_pair_rotation_oracle(p, gens, cycles):
     for _ in range(3):
         phi0, phiT = oc.random_state(4 * p, rng), oc.random_state(4 * p, rng)
         thetas = rng.normal(0.0, 1.0, size=len(prog.ptr) - 1)
-        args = (thetas, phi0, phiT, prog.ptr, prog.pj, prog.pk, prog.coeff, prog.kind)
+        args = (thetas, phi0, phiT, prog.ptr, prog.pj, prog.pk, prog.coeff, prog.kind,
+                prog.runs)
         r, jac = _kernels.objective_grad(*args)
         f = float(np.sum(r.real**2 + r.imag**2))
         grad = 2.0 * (jac.conj().T @ r).real
@@ -272,7 +275,7 @@ def test_objective_matches_pair_rotation_oracle(p, gens, cycles):
         cols = range(len(thetas)) if cycles == 1 else rng.choice(len(thetas), 8, replace=False)
         states = prog.states(phi0, thetas)
         for k in cols:
-            want = jacobian_column(thetas, states, k, *args[3:])
+            want = jacobian_column(thetas, states, k, *args[3:8])
             assert np.max(np.abs(jac[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 import helpers
 from sideband_steer import _kernels
 from sideband_steer import lift_simulator as ls
+from sideband_steer import modal_planner as mp
 from sideband_steer import operator_core as oc
 from sideband_steer.errors import TruncationOverflowError
 
@@ -202,6 +203,70 @@ def test_program_states_equal_per_segment_rotations():
                        prog.kind[a:b])
     got = prog.states(phi0, thetas.tolist())
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _segment_indices(prog, k):
+    a, b = prog.ptr[k], prog.ptr[k + 1]
+    return set(prog.pj[a:b].tolist()) | set(prog.pk[a:b].tolist())
+
+
+def _run_programs():
+    out = []
+    for p in (3, 5, 7, 11):
+        for family in oc.FAMILIES:
+            ops = [mp.build_generator_operator(g, p) for g in mp.default_generator_ids(p, family)]
+            out.append(pytest.param(ops, id=f"p{p}-{family}"))
+    # a segment with no pairs, first: it joins the run after it, and the
+    # seam between two cycles is then not a run boundary
+    ops = [oc.truncate(cid, 16) for cid in ("V1", "W1r", "V2b", "W2r", "W2")]
+    ops.insert(0, oc.truncate("V1r", 4))
+    out.append(pytest.param(ops, id="no-pair-segment"))
+    return out
+
+
+@pytest.mark.parametrize("cycles", [1, 3])
+@pytest.mark.parametrize("ops", _run_programs())
+def test_runs_are_maximal_stretches_of_disjoint_segments(ops, cycles):
+    prog = oc.SegmentProgram.from_operators(ops).tile(cycles)
+    runs = prog.runs.tolist()
+    assert runs[0] == 0 and runs[-1] == len(prog.ptr) - 1
+    assert all(a < b for a, b in zip(runs, runs[1:]))
+    assert len(runs) - 1 < len(prog.ptr) - 1  # some run is longer than one segment
+    before = None
+    for a, b in zip(runs, runs[1:]):
+        sets = [_segment_indices(prog, k) for k in range(a, b)]
+        union = set().union(*sets)
+        # pairwise disjoint within the run
+        assert len(union) == sum(map(len, sets))
+        # forced boundary: the run's first segment meets the run before it
+        if before is not None:
+            assert sets[0] & before
+        before = union
+
+
+@pytest.mark.parametrize("cycles", [1, 3])
+@pytest.mark.parametrize("ops", _run_programs())
+def test_tiled_runs_equal_the_runs_of_the_repeated_operators(ops, cycles):
+    tiled = oc.SegmentProgram.from_operators(ops).tile(cycles)
+    repeated = oc.SegmentProgram.from_operators(ops * cycles)
+    assert np.array_equal(tiled.runs, repeated.runs)
+
+
+def test_runs_around_a_segment_with_no_pairs():
+    empty, v1, w1r = oc.truncate("V1r", 4), oc.truncate("V1", 16), oc.truncate("W1r", 16)
+    assert len(empty.pj) == 0
+    prog = oc.SegmentProgram.from_operators([empty, v1, w1r]).tile(2)
+    # V1 meets every index; the second cycle's empty segment joins W1r's run
+    assert prog.runs.tolist() == [0, 2, 4, 5, 6]
+    assert oc.SegmentProgram.from_operators([]).runs.tolist() == [0]
+
+
+@pytest.mark.parametrize("cycles", [1, 3])
+def test_carrier_program_runs_have_length_one(cycles):
+    # each carrier rotates every index, so every run is a single segment
+    ops = [oc.build_coupling(cid, 3) for cid in ("V1", "W1", "V2", "W2", "V1", "V2")]
+    prog = oc.SegmentProgram.from_operators(ops).tile(cycles)
+    assert prog.runs.tolist() == list(range(len(ops) * cycles + 1))
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["E", "F"])
