@@ -5,7 +5,9 @@ the decoupling-time scan (every winding search) and the planner's
 residual with its Jacobian (every Levenberg-Marquardt evaluation).  Each
 has exactly one implementation.  The scan does not test every winding index:
 it enumerates, as lattice points, the indices whose bound could be small
-enough, and evaluates the bound on those alone, in fixed point.
+enough, and evaluates the bound on those alone, in fixed point.  The exact
+evaluator's winding fractions of a whole grid come from fixed-width
+integers too (``winding_fractions``), bit for bit the big-integer ones.
 
 All kernels operate on 0-based index arrays.  Pair rotations exploit the
 disjoint two-level structure of the coupling operators: a segment flow is
@@ -147,6 +149,66 @@ _ENUM_R2 = 2.0  # squared radius of the ball that holds |z_0| <= 1, sum |z_j| < 
 def _sqrt_fixed(n: int) -> int:
     """floor(sqrt(n) * 10**_SQRT_DIGITS) as an exact integer."""
     return isqrt(n * 10 ** (2 * _SQRT_DIGITS))
+
+
+# ---------------------------------------------------------------------------
+# exact winding fractions of a batch
+#
+# The exact evaluator needs F = (s*q mod den)/den, rounded once, for every
+# numerator q = _sqrt_fixed(r*nu) mod den and index s.  With X = floor(q *
+# 2^192/den) = q*2^192/den - e, e in [0, 1), and W = s*X mod 2^192 (six 32-bit
+# limbs of X times the two halves of s: 11 uint64 partial products, then one
+# carry pass), F*2^192 = W + s*e mod 2^192 with 0 <= s*e < 2^53.  So F*2^64
+# lies in [H, H+2), H the top 64 bits of W, unless W + s*e wraps past 2^192,
+# which needs H = 2^64 - 1.  Rounding is constant between two rounding
+# midpoints, so float64(H)*2^-64 is the correctly rounded F unless a midpoint
+# lies in [H, H+2): unless H's bits below its 53-bit mantissa are half an
+# ulp, or half an ulp less one, taking the ulp as 1 below 2^53, where every H
+# qualifies.  Those elements and H = 2^64 - 1, where W + s*e may wrap, are
+# recomputed as integers: about 0.6% of random ones, and every F < 2^-10.
+# A row with q = 0 is 0.0 and skips them.
+# ---------------------------------------------------------------------------
+
+_FRAC_LIMBS = 6  # X = floor(q*2^192/den) as 32-bit limbs, least significant first
+_FRAC_WINDOW = 2  # F*2^64 lies in [H, H + _FRAC_WINDOW)
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def winding_fractions(qs, den, s):
+    """(s*q mod den)/den for each q of ``qs`` (rows) and each s of ``s``
+    (columns), bit for bit.  Every q lies in [0, den), every s in [0, 2^53)."""
+    s = np.asarray(s, dtype=np.int64).astype(np.uint64)
+    limbs = np.array([_frac_limbs(q, den) for q in qs], dtype=np.uint64).T[:, :, None]
+    low = limbs * (s & _MASK32)  # limb j of row i times the low half of s: column j
+    high = limbs[:-1] * (s >> np.uint64(32))  # the high half: column j + 1
+    col = low & _MASK32
+    col[1:] += low[:-1] >> np.uint64(32)
+    col[1:] += high & _MASK32
+    col[2:] += high[:-1] >> np.uint64(32)
+    for j in range(1, _FRAC_LIMBS):
+        col[j] += col[j - 1] >> np.uint64(32)
+    top = (col[5] << np.uint64(32)) | (col[4] & _MASK32)
+    # ulp of top: 2^(e - 53) for top in [2^(e-1), 2^e), at least 1; clearing
+    # the low 11 bits leaves at most 53, converted exactly
+    _, e = np.frexp((top & ~np.uint64(0x7FF)).astype(np.float64))
+    ulp = np.left_shift(np.uint64(1), np.maximum(e - 53, 0).astype(np.uint64))
+    to_mid = ((ulp >> np.uint64(1)) - top) & (ulp - np.uint64(1))
+    redo = (to_mid < np.uint64(_FRAC_WINDOW)) | (top == np.uint64(2**64 - 1))
+    frac = top.astype(np.float64) * 2.0**-64
+    zero = np.array([q == 0 for q in qs])
+    frac[zero] = 0.0
+    redo[zero] = False
+    rows, cols = np.nonzero(redo)
+    frac[rows, cols] = [(s_j * qs[i]) % den / den
+                        for i, s_j in zip(rows.tolist(), s[cols].tolist())]
+    return frac
+
+
+@lru_cache(maxsize=None)
+def _frac_limbs(q, den):
+    """floor(q * 2^192 / den) as _FRAC_LIMBS 32-bit limbs, least significant first."""
+    x = (q << 32 * _FRAC_LIMBS) // den
+    return tuple((x >> 32 * j) & 0xFFFFFFFF for j in range(_FRAC_LIMBS))
 
 
 def scan_decoupling(members, nu, t_hat, eps, best, s0, s1):

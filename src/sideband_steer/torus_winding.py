@@ -18,8 +18,8 @@ of a single-class search.
 
 A search costs in proportion to the indices that could qualify, not to
 the index it ends at.  It works upward through windows of s that start at
-_CHUNK_FIRST indices and double, with no cap, so a search to s_max = 1e12
-takes about 28 windows.  Within a window the kernel
+_CHUNK_FIRST indices and grow fourfold, with no cap, so a search to s_max =
+1e12 takes 15 windows.  Within a window the kernel
 (``_kernels.scan_decoupling``) enumerates only the s whose fractional parts
 s*alpha_j + beta_j lie close enough to the integers that the sum could
 fall below max(eps, best bound so far), as lattice points on an
@@ -33,8 +33,9 @@ One batched evaluation (``_exact_batch``) does all the exact arithmetic:
 the search's acceptance check and exhausted report, the ``bound_profile``
 plot data and the lifted simulator's angles.  It reduces each radicand's
 fixed-point numerator q modulo the denominator den once, since (s*q) mod
-den equals (s*(q mod den)) mod den, and then runs each index's arithmetic
-unchanged, so every float equals the one-index reduction's.
+den equals (s*(q mod den)) mod den.  A batch of _BATCH_MIN indices or more
+takes its fractions from fixed-width integers; every float equals the
+one-index reduction's either way.
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ from . import spectral_decoupling as sd
 from .errors import InternalConsistencyError, SearchExhaustedError
 
 DEFAULT_S_MAX = 10**7
-# scan windows: the first is small and each next one doubles
+# scan windows: the first is small and each next one four times as long
 _CHUNK_FIRST = 4096
+# _exact_batch evaluates this many indices or more in fixed-width integers
+_BATCH_MIN = 64
 TWO_PI = 2.0 * math.pi
 
 
@@ -74,17 +77,45 @@ def _exact_batch(members, nu_kernel: int, s_values, t_hat):
     for s near 1e12.  For radicands that are exact square multiples of the
     kernel the winding part vanishes identically, which realizes the
     periodicity of the selected class.
+
+    Fewer than _BATCH_MIN indices, or any index outside [0, 2^53), take the
+    integer expression (s*q mod den)/den and math.remainder one element at
+    a time.  A larger batch takes the fractions from
+    ``_kernels.winding_fractions``: 192-bit fixed point, correctly rounded
+    unless a rounding midpoint lies within its error, and then the integer
+    expression itself, so each fraction is the same float.  The rest of the
+    arithmetic is the same IEEE operations: base + 2*pi*F, one multiply and
+    one add; np.fmod, exact, then 2*pi added or subtracted once where the
+    result lies beyond pi, exact by Sterbenz's lemma, which is
+    math.remainder's value except at an exact tie |delta| == pi, left to
+    math.remainder; and np.sin, whose bits the oracle tests compare with
+    math.sin's.  The batch path is for grids (the
+    ``decouple`` plot data): on one index it costs more than it saves.
     """
     den = nu_kernel * 10 ** _SQRT_DIGITS
-    s_ints = [int(s) for s in s_values]
     # radicand 0 takes base 0.0 whatever t_h is, so its residual is 0.0
     phases = _kernels.class_phases(t_hat, len(members))
     terms = [(_sqrt_fixed(r * nu_kernel) % den, math.sqrt(r) * t_h if r else 0.0)
              for cls, t_h in zip(members, phases) for r in cls]
-    flat = [math.remainder(base + TWO_PI * ((s * q) % den / den), TWO_PI)
-            for q, base in terms for s in s_ints]
-    delta = np.array(flat).reshape(-1, len(s_ints))
-    err = 2.0 * np.abs(np.array([math.sin(0.5 * d) for d in flat])).reshape(delta.shape)
+    s_arr = np.asarray(s_values)
+    if len(s_arr) >= _BATCH_MIN and s_arr.dtype.kind in "iu" \
+            and 0 <= s_arr.min() and s_arr.max() < 2**53:
+        frac = _kernels.winding_fractions([q for q, _ in terms], den, s_arr)
+        x = np.array([base for _, base in terms])[:, None] + TWO_PI * frac
+        # fmod is exact, and so is each correction (Sterbenz): delta is
+        # math.remainder's value except at a tie |delta| == pi
+        delta = np.fmod(x, TWO_PI)
+        delta[delta > math.pi] -= TWO_PI
+        delta[delta < -math.pi] += TWO_PI
+        tie = ~(np.abs(delta) < math.pi)
+        delta[tie] = [math.remainder(v, TWO_PI) for v in x[tie].tolist()]
+        err = 2.0 * np.abs(np.sin(0.5 * delta))
+    else:
+        s_ints = [int(s) for s in s_values]
+        flat = [math.remainder(base + TWO_PI * ((s * q) % den / den), TWO_PI)
+                for q, base in terms for s in s_ints]
+        delta = np.array(flat).reshape(-1, len(s_ints))
+        err = 2.0 * np.abs(np.array([math.sin(0.5 * d) for d in flat])).reshape(delta.shape)
     sizes = np.array([len(cls) for cls in members])
     starts = np.cumsum(sizes) - sizes
     per_class = np.maximum.reduceat(err, starts)
@@ -196,12 +227,12 @@ def find_decoupling_time(req: DecouplingRequest) -> DecouplingResult:
 
     best = (-1, math.inf)
     # window [s_next, s_hi): the first holds _CHUNK_FIRST indices and each
-    # next one twice as many; a rejected candidate resumes the same window
+    # next one four times as many; a rejected candidate resumes the same window
     chunk = _CHUNK_FIRST
     s_next, s_hi = 0, min(chunk, req.s_max + 1)
     while s_next <= req.s_max:
         if s_next == s_hi:
-            chunk *= 2
+            chunk *= 4
             s_hi = min(s_hi + chunk, req.s_max + 1)
         cand, best = _kernels.scan_decoupling(members, nu_kernel, phases, eps_scan, best,
                                               s_next, s_hi)

@@ -473,15 +473,137 @@ def _bits(x):
 
 @pytest.mark.parametrize("m", [3, 4, 6, 8, 12])
 def test_bound_profile_bits_match_scalar_oracle(m):
-    # the batched evaluation reduces each radicand's numerator once; every
-    # float it returns is bit for bit the one-index reduction's
+    # the batched evaluation reduces each radicand's numerator once, and a
+    # grid of _BATCH_MIN indices or more takes the fixed-width fractions;
+    # every float it returns is bit for bit the one-index reduction's
     rng = np.random.default_rng(m)
+    grids = [(top, 512) for top in (10**6, 10**9, 10**12, 2**53 - 1)] \
+        + [(10**9, tw._BATCH_MIN - 1), (10**9, tw._BATCH_MIN)]
     for ell in range(1, sd.resonance_partition(m).count + 1):
-        for top in (10**6, 10**9, 10**12):
+        for top, size in grids:
             t_hat = float(rng.uniform(-5, 5))
-            grid = np.unique(np.linspace(0, top, 512).astype(np.int64))
+            grid = np.unique(np.linspace(0, top, size).astype(np.int64))
+            assert len(grid) == size and grid[-1] == top
             assert np.array_equal(_bits(tw.bound_profile(m, ell, t_hat, grid)),
                                   _bits(scalar_profile(m, ell, t_hat, grid)))
+
+
+def integer_fractions(qs, den, s_values):
+    """Test-local oracle for winding_fractions: the integer expression."""
+    return np.array([[(int(s) * q) % den / den for s in s_values] for q in qs])
+
+
+def _top_bits(q, den, s):
+    """H, the top 64 bits of s * floor(q * 2^192 / den) mod 2^192."""
+    return (s * ((q << 192) // den)) % 2**192 >> 128
+
+
+def test_winding_fractions_bits_match_integer_expression():
+    rng = np.random.default_rng(24)
+    for nu in (1, 2, 3, 5, 6, 7):
+        den = nu * 10**tw._SQRT_DIGITS
+        qs = [0] + [_kernels._sqrt_fixed(r * nu) % den for r in (2, 3, 5, 6, 7, 10, 11, 15)]
+        s = np.concatenate(([0, 1, 2**53 - 1], rng.integers(0, 2**53, 3000),
+                            rng.integers(0, 10**7, 1000)))
+        got = _kernels.winding_fractions(qs, den, s)
+        assert np.array_equal(_bits(got), _bits(integer_fractions(qs, den, s)))
+        assert not got[0].any() and not got[:, 0].any()
+
+
+class _CountedInt(int):
+    """An int that counts the products the integer fallback forms with it."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        type(self).products += 1
+        return int.__rmul__(self, other)
+
+
+def test_winding_fractions_of_a_zero_numerator_skip_the_fallback():
+    # q = 0 (radicand 0, and the selected class's radicands) is 0.0 at every
+    # s; its H = 0 would otherwise send the whole row to the integer path
+    den = 5 * 10**tw._SQRT_DIGITS
+    q = _kernels._sqrt_fixed(2 * 5) % den
+    s = np.arange(0, 10**9, 10**6)
+    _CountedInt.products = 0
+    got = _kernels.winding_fractions([_CountedInt(0), q], den, s)
+    assert _CountedInt.products == 0
+    assert np.array_equal(_bits(got), _bits(integer_fractions([0, q], den, s)))
+
+
+def test_winding_fractions_near_0_and_1():
+    den = 3 * 10**tw._SQRT_DIGITS
+    # s*q mod den is small, or den less a small amount: F below 2^-8, and F
+    # within 2^-139 of 1; at q = den/3, s = 3, F is 0.0 and W wraps to 2^192 - 1
+    qs = [den >> 9, den >> 40, 7, den - 1, den - 2, den - (den >> 60), den // 3]
+    s = [1, 2, 3, 2**20, 2**53 - 1] * 13
+    want = integer_fractions(qs, den, s)
+    assert 0.0 < want[2, 0] < 2.0**-8 and den > 2**139  # F(q=den-1, s=1) = 1 - 1/den
+    assert want[6, 2] == 0.0 and _top_bits(den // 3, den, 3) == 2**64 - 1
+    assert np.array_equal(_bits(_kernels.winding_fractions(qs, den, s)), _bits(want))
+
+
+def test_winding_fractions_at_a_rounding_midpoint():
+    # an index whose H sits on a rounding midpoint: float64(H) rounds to
+    # even, the true F lies just above H and rounds up, so only the
+    # integer fallback gives the right bits
+    den = 2 * 10**tw._SQRT_DIGITS
+    q = _kernels._sqrt_fixed(3 * 2) % den
+    for s in range(1, 10**5):
+        top = _top_bits(q, den, s)
+        if 2**56 <= top and float(top) * 2.0**-64 != (s * q) % den / den:
+            break
+    half = 1 << top.bit_length() - 54
+    assert top % (2 * half) == half
+    grid = list(range(s - 40, s + 40))
+    assert np.array_equal(_bits(_kernels.winding_fractions([q], den, grid)),
+                          _bits(integer_fractions([q], den, grid)))
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_winding_fractions_on_either_side_of_a_midpoint(offset):
+    # den = 3*2^64 puts F*2^64 at a chosen value: mid + 1/3 (q = 3*mid + 1,
+    # s = 1, H = mid), or mid itself, a tie that rounds to the upper float
+    # (q = mid, s = 3, X = floor(mid*2^128/3), H = mid - 1).  The ambiguous H
+    # are a midpoint and the integer below it
+    den = 3 << 64
+    for exp in (56, 60, 63):
+        ulp = 1 << exp - 52
+        # midpoints whose float below has an even and an odd mantissa; the
+        # odd one must not be a multiple of 3
+        even = (1 << exp) + 2 * ulp + ulp // 2
+        odd = next(mid for j in range(3) if (mid := (1 << exp) + (2 * j + 1) * ulp + ulp // 2) % 3)
+        q, s = (3 * even + 1, 1) if offset == 0 else (odd, 3)
+        assert _top_bits(q, den, s) == (even if offset == 0 else odd - 1)
+        want = integer_fractions([q], den, [s])
+        assert float(_top_bits(q, den, s)) * 2.0**-64 != want[0, 0]
+        got = _kernels.winding_fractions([q], den, [s] * tw._BATCH_MIN)
+        assert np.array_equal(_bits(got), _bits(np.repeat(want, tw._BATCH_MIN, axis=1)))
+
+
+def test_bound_profile_outside_the_fixed_width_range():
+    # negative indices and indices of 2^53 or more take the integer path
+    rng = np.random.default_rng(5)
+    for m, ell in ((4, 2), (8, 3)):
+        t_hat = float(rng.uniform(-5, 5))
+        for extra in ([-1], [-10**12], [2**53], [2**60 + 3]):
+            grid = list(range(0, 10**6, 10**4)) + extra
+            assert np.array_equal(_bits(tw.bound_profile(m, ell, t_hat, grid)),
+                                  _bits(scalar_profile(m, ell, t_hat, grid)))
+
+
+def test_exact_batch_tie_at_pi_matches_remainder():
+    # t = 2*pi + pi (rounded) is exactly 2*pi + pi: fmod gives pi, and
+    # remainder's tie to an even quotient gives -pi
+    t = tw.TWO_PI + math.pi
+    assert t - tw.TWO_PI == math.pi
+    for t_hat in (t, -t, math.pi, -math.pi):
+        small = tw._exact_batch([[1]], 2, [0], t_hat)
+        large = tw._exact_batch([[1]], 2, [0] * tw._BATCH_MIN, t_hat)
+        for a, b in zip(small, large):
+            assert np.array_equal(_bits(np.repeat(a, tw._BATCH_MIN, axis=-1)), _bits(b))
+    assert tw._exact_batch([[1]], 2, [0] * tw._BATCH_MIN, t)[2][0, 0] == -math.pi
 
 
 @pytest.mark.parametrize("dim", [20, 200])
