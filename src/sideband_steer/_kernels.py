@@ -16,9 +16,10 @@ a bundle of independent 2x2 rotations, never a dense matrix exponential.
 pass, so a whole segment program needs one call; ``rotate_pairs`` applies
 given entries to a state or to a block of columns alike.  The planner
 kernel scatters the same entries into a dense stack of small propagators,
-one per run of consecutive segments with pairwise disjoint pairs (their
-flows commute): the forward sweep is one mat-vec per run, and the backward
-sweep that builds the Jacobian one small matrix product per run.
+one per run of commuting segments that its caller names (the class
+segments of one coupling rotate disjoint pairs): the forward sweep is one
+mat-vec per run, and the backward sweep that builds the Jacobian one small
+matrix product per run.
 """
 
 from __future__ import annotations
@@ -156,11 +157,11 @@ def _sqrt_fixed(n: int) -> int:
 #
 # The exact evaluator needs F = (s*q mod den)/den, rounded once, for every
 # numerator q = _sqrt_fixed(r*nu) mod den and index s.  With X = floor(q *
-# 2^192/den) = q*2^192/den - e, e in [0, 1), and W = s*X mod 2^192 (six 32-bit
-# limbs of X times the two halves of s: 11 uint64 partial products, then one
-# carry pass), F*2^192 = W + s*e mod 2^192 with 0 <= s*e < 2^53.  So F*2^64
-# lies in [H, H+2), H the top 64 bits of W, unless W + s*e wraps past 2^192,
-# which needs H = 2^64 - 1.  Rounding is constant between two rounding
+# 2^128/den) = q*2^128/den - e, e in [0, 1), and W = s*X mod 2^128 (four 32-bit
+# limbs of X times the two halves of s: 7 uint64 partial products, then one
+# carry pass), F*2^128 = W + s*e mod 2^128 with 0 <= s*e < 2^53.  So F*2^64
+# lies in [H, H+1+2^-11), H the top 64 bits of W, unless W + s*e wraps past
+# 2^128, which needs H = 2^64 - 1.  Rounding is constant between two rounding
 # midpoints, so float64(H)*2^-64 is the correctly rounded F unless a midpoint
 # lies in [H, H+2): unless H's bits below its 53-bit mantissa are half an
 # ulp, or half an ulp less one, taking the ulp as 1 below 2^53, where every H
@@ -169,7 +170,7 @@ def _sqrt_fixed(n: int) -> int:
 # A row with q = 0 is 0.0 and skips them.
 # ---------------------------------------------------------------------------
 
-_FRAC_LIMBS = 6  # X = floor(q*2^192/den) as 32-bit limbs, least significant first
+_FRAC_LIMBS = 4  # X = floor(q*2^128/den) as 32-bit limbs, least significant first
 _FRAC_WINDOW = 2  # F*2^64 lies in [H, H + _FRAC_WINDOW)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
@@ -187,7 +188,7 @@ def winding_fractions(qs, den, s):
     col[2:] += high[:-1] >> np.uint64(32)
     for j in range(1, _FRAC_LIMBS):
         col[j] += col[j - 1] >> np.uint64(32)
-    top = (col[5] << np.uint64(32)) | (col[4] & _MASK32)
+    top = (col[3] << np.uint64(32)) | (col[2] & _MASK32)
     # ulp of top: 2^(e - 53) for top in [2^(e-1), 2^e), at least 1; clearing
     # the low 11 bits leaves at most 53, converted exactly
     _, e = np.frexp((top & ~np.uint64(0x7FF)).astype(np.float64))
@@ -206,7 +207,7 @@ def winding_fractions(qs, den, s):
 
 @lru_cache(maxsize=None)
 def _frac_limbs(q, den):
-    """floor(q * 2^192 / den) as _FRAC_LIMBS 32-bit limbs, least significant first."""
+    """floor(q * 2^128 / den) as _FRAC_LIMBS 32-bit limbs, least significant first."""
     x = (q << 32 * _FRAC_LIMBS) // den
     return tuple((x >> 32 * j) & 0xFFFFFFFF for j in range(_FRAC_LIMBS))
 
@@ -461,8 +462,9 @@ def _lll(rows, coords, delta=0.99, max_swaps=10_000):
 #
 # Segment k is the flow U_k = exp(theta_k * S_k) of one disjoint-pair
 # operator (CSR layout seg_ptr / pj / pk / pc / pkind, rotation angle
-# theta_k * pc).  The runs (CSR pointer ``runs`` over segments) group
-# consecutive segments whose pairs are pairwise disjoint: their flows
+# theta_k * pc).  The runs (CSR pointer ``runs`` over segments, from
+# modal_planner.commuting_runs) group consecutive class segments of one
+# sideband coupling: their pairs are pairwise disjoint, so their flows
 # commute, and the run's flow V_r is the identity with every pair of its
 # segments rotated.  All nrun propagators of an evaluation are built at once
 # as a dense (nrun, dim, dim) stack, with the same rotation entries that

@@ -207,10 +207,12 @@ def cmd_decouple(args) -> int:
     grid = np.unique(np.linspace(0, max(res.s, 1), 512).astype(np.int64))
     profile = tw.bound_profile(args.m, args.cls, args.t_hat, grid)
     trace = outdir / f"decouple_trace_{args.op}_m{args.m}_c{args.cls}.csv"
-    # the bytes of csv.writer's default dialect: no field needs quoting
-    rows = "".join(f"{s},{b:.17g}\r\n" for s, b in zip(grid.tolist(), profile.tolist()))
+    # the bytes of csv.writer's default dialect (no field needs quoting),
+    # with the cells s, bound, s, bound, ... in one %-format of the rows
+    cells = [0] * (2 * len(grid))
+    cells[::2], cells[1::2] = grid.tolist(), profile.tolist()
     with open(trace, "w", newline="") as fh:
-        fh.write("s,bound\r\n" + rows)
+        fh.write("s,bound\r\n" + ("%d,%.17g\r\n" * len(grid)) % tuple(cells))
     print(f"s={res.s} t_bar={res.t_bar:.6g} bound={res.bound:.3e} "
           f"measured={measured:.3e} -> {path}")
     return EXIT_OK

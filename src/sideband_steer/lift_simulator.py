@@ -2,8 +2,9 @@
 
 Carrier segments pass through unchanged: carrier flows never leave a
 4-index internal block, so their truncation error is exactly zero.
-Sideband segments come in runs: consecutive segments X[l1], X[l2], ... of
-one coupling X and distinct classes.  Their class flows act on disjoint
+Sideband segments come in the planner's runs of commuting segments
+(``modal_planner.commuting_runs``): consecutive segments X[l1], X[l2], ...
+of one coupling X and distinct classes.  Their class flows act on disjoint
 pairs and commute, so one lifted segment per run, exp(t_bar * X) with
 t_bar from one winding search, realises the whole run.  The budget eps/N
 is spread over the N lifted sideband segments (one per run).  The lifted
@@ -22,7 +23,7 @@ from . import operator_core as oc
 from . import spectral_decoupling as sd
 from . import torus_winding as tw
 from .errors import InternalConsistencyError, SearchExhaustedError
-from .modal_planner import Plan, _is_finite, _is_int, simulate_plan_modal
+from .modal_planner import Plan, _is_finite, _is_int, commuting_runs
 
 
 @dataclass
@@ -134,33 +135,15 @@ def choose_prime(n: int) -> int:
     return p
 
 
-def sideband_runs(plan: Plan) -> list[list[int]]:
-    """The plan's sideband segments grouped into maximal runs: consecutive
-    segments of one coupling whose classes are distinct."""
-    runs: list[list[int]] = []
-    for i, seg in enumerate(plan.segments):
-        gen = seg.generator
-        if gen.kind != "sideband":
-            continue
-        run = runs[-1] if runs and runs[-1][-1] == i - 1 else None
-        if run and all(plan.segments[j].generator.coupling == gen.coupling
-                       and plan.segments[j].generator.class_index != gen.class_index
-                       for j in run):
-            run.append(i)
-        else:
-            runs.append([i])
-    return runs
-
-
 def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
               jobs: int = 1) -> LiftedPlan:
     """Replace modal segments by admissible full-system segments.
 
-    Each run of sideband segments (:func:`sideband_runs`) becomes one
-    lifted segment.  Its winding search makes the run's first class exact
-    and brings every other class of the run near its planned angle, within
-    the uniform budget eps / (number of runs).  Carriers are exact and keep
-    predicted error 0.  A failed winding search propagates with the index
+    Each run (:func:`~sideband_steer.modal_planner.commuting_runs`) that
+    starts with a sideband segment becomes one lifted segment.  Its winding
+    search makes the run's first class exact and brings every other class
+    of the run near its planned angle, within the uniform budget eps /
+    (number of runs).  Carriers are exact and keep predicted error 0.  A failed winding search propagates with the index
     of the run's first segment.
     """
     if eps <= 0:
@@ -170,11 +153,13 @@ def lift_plan(plan: Plan, eps: float, s_max: int = tw.DEFAULT_S_MAX,
                          f"(achieved {plan.achieved_error:.3e} >= target "
                          f"{plan.target_error:.3e})")
     m = plan.p + 1
-    runs = sideband_runs(plan)
+    gens = [seg.generator for seg in plan.segments]
+    bounds = commuting_runs(gens).tolist()
+    runs = [range(a, b) for a, b in zip(bounds, bounds[1:]) if gens[a].kind == "sideband"]
     n_side = len(runs)
     eps_seg = eps / n_side if n_side else 0.0
 
-    def lift_run(run: list[int]) -> LiftedSegment:
+    def lift_run(run: range) -> LiftedSegment:
         first, *rest = (plan.segments[i] for i in run)
         req = tw.DecouplingRequest(
             id=first.generator.coupling, m=m, ell=first.generator.class_index,
@@ -267,7 +252,7 @@ def simulate_lifted(lp: LiftedPlan, phi0: np.ndarray) -> tuple[np.ndarray, float
 
 def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
                  phiT: np.ndarray, simulated: tuple[np.ndarray, float],
-                 modal: np.ndarray | None = None) -> dict:
+                 modal: np.ndarray) -> dict:
     """End-to-end tracking report with the iterated-approximation verdict.
 
     Checks both the unconditional budget (lifted vs modal final state is
@@ -275,14 +260,12 @@ def error_report(plan: Plan, lp: LiftedPlan, phi0: np.ndarray,
     inequality; violation of either raises, since the underlying estimate
     is exact mathematics.  ``simulated`` is ``simulate_lifted(lp, phi0)``
     and ``modal`` the plan's modal final state, as ``plan_transfer`` left
-    it in ``plan.final_state``; it is simulated from phi0 when None.
+    it in ``plan.final_state``.
     """
     dim = lp.dim_sim
     phiT = np.asarray(phiT, dtype=np.complex128)
     states, tail = simulated
     final = states[-1]
-    if modal is None:
-        modal = simulate_plan_modal(plan, np.asarray(phi0, dtype=np.complex128))[-1]
     modal_p = np.zeros(dim, dtype=np.complex128)
     modal_p[:len(modal)] = modal
     target = np.zeros(dim, dtype=np.complex128)

@@ -29,7 +29,6 @@ from . import _kernels
 from . import operator_core as oc
 from . import spectral_decoupling as sd
 
-_PRUNE_TOL = 1e-13
 # angles per real degree of freedom on the first schedule; at 1.0 the p=3
 # red-only and blue-only transfers (24 angles, 23 equations) restart on
 # some seeds
@@ -203,6 +202,30 @@ def _program(gens, p: int) -> oc.SegmentProgram:
     return oc.SegmentProgram.from_operators(build_generator_operator(g, p) for g in gens)
 
 
+def commuting_runs(gens) -> np.ndarray:
+    """The CSR pointer of the runs of a generator sequence: run r is
+    segments ``runs[r]:runs[r+1]``.
+
+    A run is a maximal stretch of sideband segments of one coupling with
+    distinct classes; every other segment is a run of its own.  The class
+    restrictions of a coupling split its disjoint pair list into disjoint
+    parts, so the flows of a run commute and compose to one bundle of
+    disjoint rotations: the planner kernel takes one propagator per run,
+    and the lift one winding search per sideband run.
+    """
+    starts = []
+    coupling, classes = None, set()
+    for k, g in enumerate(gens):
+        if g.kind == "sideband" and g.coupling == coupling and g.class_index not in classes:
+            classes.add(g.class_index)
+            continue
+        starts.append(k)
+        coupling = g.coupling if g.kind == "sideband" else None
+        classes = {g.class_index}
+    starts.append(len(gens))
+    return np.array(starts, dtype=np.int64)
+
+
 def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
                   eps_plan: float = 1e-3, seed: int = 0,
                   budget: int = DEFAULT_BUDGET, family: str = "full") -> Plan:
@@ -213,9 +236,10 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
     freedom and grows geometrically across restarts.  Each run stops at
     its first point whose L2 error is below eps_plan/2, not at the
     rounding floor, and planning stops with the first run that gets there
-    or when the evaluation budget runs out (the best plan found is
-    returned either way, with its honest achieved error, which the half
-    margin keeps below eps_plan after pruning and re-simulation).
+    or when the evaluation budget runs out.  The best plan found is
+    returned either way, one segment per angle of its schedule, with the
+    achieved error of its re-simulation, which the half margin keeps below
+    eps_plan.
     """
     if p < 3 or not sd.is_prime(p):
         raise ValueError("planning order p must be a prime >= 3")
@@ -240,16 +264,17 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
     best = None  # (error, thetas, cycles)
     iters_left = budget
     cycles_schedule = _cycle_schedule(len(gens), dim)
-    target = eps_plan * 0.5  # the margin absorbs pruning and re-simulation
+    target = eps_plan * 0.5  # the margin absorbs the re-simulation
     restart = 0
     while iters_left > 0:
         cycles = cycles_schedule[min(restart, len(cycles_schedule) - 1)]
         prog = one_cycle.tile(cycles)
+        runs = commuting_runs(gens * cycles)
         theta0 = rng.normal(0.0, 0.5, size=len(prog.ptr) - 1)
 
         def fun(th):
             r, jac = _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj,
-                                             prog.pk, prog.coeff, prog.kind, prog.runs)
+                                             prog.pk, prog.coeff, prog.kind, runs)
             return np.concatenate((r.real, r.imag)), np.concatenate((jac.real, jac.imag))
 
         res = minimize(fun, theta0, min(800, iters_left), target)
@@ -262,14 +287,8 @@ def plan_transfer(phi0: np.ndarray, phiT: np.ndarray, p: int, M: float = 1.0,
         restart += 1
 
     _, thetas, cycles = best
-    segments = []
-    for c in range(cycles):
-        for i, gid in enumerate(gens):
-            th = float(thetas[c * len(gens) + i])
-            if abs(th) <= _PRUNE_TOL:
-                continue
-            segments.append(PlanSegment(gid, amplitude=np.sign(th) * M,
-                                        duration=abs(th) / M))
+    segments = [PlanSegment(gid, amplitude=np.sign(th) * M, duration=abs(th) / M)
+                for gid, th in zip(gens * cycles, thetas.tolist())]
     plan = Plan(p, M, seed, eps_plan, 0.0, segments, family)
     plan.final_state = simulate_plan_modal(plan, phi0)[-1]
     plan.achieved_error = float(np.linalg.norm(plan.final_state - phiT))

@@ -16,7 +16,7 @@ so the flow of a single piecewise-constant segment is an exact bundle of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -230,16 +230,9 @@ class SegmentProgram:
     Segment k is the flow exp(theta_k * S_k) of one disjoint-pair operator
     S_k: it rotates the pairs ``ptr[k]:ptr[k+1]`` by the angles
     ``theta_k * coeff``.  The planner objective, both simulators and the
-    trajectory writer all run on this one representation.
-
-    ``runs`` is a CSR pointer over the segments: run r is segments
-    ``runs[r]:runs[r+1]``, a maximal stretch of consecutive segments whose
-    pair index sets are pairwise disjoint, and each run after the first
-    starts at a segment that shares an index with the run before it.  The
-    flows of a run rotate disjoint pairs, so they commute, and their
-    product is one bundle of disjoint rotations: the planner kernel takes
-    one propagator per run.  Consecutive class segments of one coupling
-    form such runs.
+    trajectory writer all run on this one representation.  The planner
+    kernel also takes a CSR pointer of runs of commuting segments over it,
+    from the generator sequence (``modal_planner.commuting_runs``).
     """
 
     ptr: np.ndarray
@@ -272,26 +265,6 @@ class SegmentProgram:
         ptr = np.append(starts.ravel(), cycles * npairs)
         return SegmentProgram(ptr, *(np.tile(a, cycles)
                                      for a in (self.pj, self.pk, self.coeff, self.kind)))
-
-    @cached_property
-    def runs(self) -> np.ndarray:
-        """The CSR pointer of the runs, taken greedily from the first
-        segment on; computed once per program, on first use (only the
-        planner kernel reads it)."""
-        nseg = len(self.ptr) - 1
-        seg = np.repeat(np.arange(nseg), np.diff(self.ptr))
-        idx, owner = np.concatenate((self.pj, self.pk)), np.concatenate((seg, seg))
-        order = np.lexsort((owner, idx))
-        idx, owner = idx[order], owner[order]
-        # the last segment before each one that touches one of its indices
-        last = np.full(nseg, -1)
-        same = idx[1:] == idx[:-1]
-        np.maximum.at(last, owner[1:][same], owner[:-1][same])
-        starts = [0]
-        for k, prev in enumerate(last.tolist()):
-            if prev >= starts[-1]:
-                starts.append(k)
-        return np.array(starts + [nseg] if nseg else starts, dtype=np.int64)
 
     def states(self, phi0: np.ndarray, thetas) -> np.ndarray:
         """Row 0 is ``phi0``, row k+1 the state after segment k.

@@ -81,7 +81,7 @@ def _exact_batch(members, nu_kernel: int, s_values, t_hat):
     Fewer than _BATCH_MIN indices, or any index outside [0, 2^53), take the
     integer expression (s*q mod den)/den and math.remainder one element at
     a time.  A larger batch takes the fractions from
-    ``_kernels.winding_fractions``: 192-bit fixed point, correctly rounded
+    ``_kernels.winding_fractions``: 128-bit fixed point, correctly rounded
     unless a rounding midpoint lies within its error, and then the integer
     expression itself, so each fraction is the same float.  The rest of the
     arithmetic is the same IEEE operations: base + 2*pi*F, one multiply and

@@ -200,12 +200,13 @@ def gradient_check(plan, phi0, phiT, step=1e-6):
     dim = 4 * plan.p
     phi0 = np.pad(oc.normalize(phi0), (0, dim - len(phi0)))
     phiT = np.pad(oc.normalize(phiT), (0, dim - len(phiT)))
-    prog = mp._program([seg.generator for seg in plan.segments], plan.p)
+    gens = [seg.generator for seg in plan.segments]
+    prog, runs = mp._program(gens, plan.p), mp.commuting_runs(gens)
     thetas = np.array([seg.angle for seg in plan.segments])
 
     def f_grad(th):
         r, jac = _kernels.objective_grad(th, phi0, phiT, prog.ptr, prog.pj, prog.pk,
-                                         prog.coeff, prog.kind, prog.runs)
+                                         prog.coeff, prog.kind, runs)
         return float(np.sum(r.real**2 + r.imag**2)), 2.0 * (jac.conj().T @ r).real
 
     _, grad = f_grad(thetas)

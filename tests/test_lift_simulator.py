@@ -239,7 +239,7 @@ def test_error_report_all_carrier():
     phi0 = oc.random_state(12, np.random.default_rng(2))
     modal = mp.simulate_plan_modal(plan, phi0)[-1]
     lp = ls.lift_plan(plan, eps=0.01)
-    report = ls.error_report(plan, lp, phi0, modal, ls.simulate_lifted(lp, phi0))
+    report = ls.error_report(plan, lp, phi0, modal, ls.simulate_lifted(lp, phi0), modal)
     assert report["final_error"] < 1e-12
     assert report["lifting_error"] < 1e-12
     assert report["verdict"] and report["budget_sound"]
@@ -250,7 +250,8 @@ def test_error_report_verdict_fields():
     phi0, phiT = oc.random_state(12, rng), oc.random_state(12, rng)
     plan = mp.plan_transfer(phi0, phiT, 3, eps_plan=0.01, seed=55)
     lp = ls.lift_plan(plan, eps=0.09, s_max=10**9)
-    report = ls.error_report(plan, lp, phi0, phiT, ls.simulate_lifted(lp, phi0))
+    report = ls.error_report(plan, lp, phi0, phiT, ls.simulate_lifted(lp, phi0),
+                             mp.simulate_plan_modal(plan, phi0)[-1])
     assert report["verdict"]
     assert report["final_error"] <= plan.achieved_error + lp.total_predicted_error + 1e-9
     assert len(report["per_segment"]) == len(lp.segments)
@@ -266,7 +267,8 @@ def test_eps_halving_regression_monotone():
         errs = []
         for eps in (0.2, 0.1, 0.05, 0.025):
             lp = ls.lift_plan(plan, eps, s_max=10**9)
-            report = ls.error_report(plan, lp, phi0, modal, ls.simulate_lifted(lp, phi0))
+            report = ls.error_report(plan, lp, phi0, modal, ls.simulate_lifted(lp, phi0),
+                                     modal)
             errs.append(report["final_error"])
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -283,6 +285,14 @@ def test_iterated_approximation_budget():
 # ---------------------------------------------------------------------------
 # one lifted segment per run of commuting class segments
 # ---------------------------------------------------------------------------
+
+
+def sideband_runs(plan):
+    """The plan's runs that start with a sideband segment, as index lists."""
+    gens = [seg.generator for seg in plan.segments]
+    bounds = mp.commuting_runs(gens).tolist()
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])
+            if gens[a].kind == "sideband"]
 
 
 def run_plan(p, coupling, classes, angles, before=(), after=()):
@@ -302,9 +312,10 @@ def test_sideband_runs_split_on_coupling_class_and_carrier():
     other = mp.GeneratorId("sideband", 1, "W", "r", 2)
     carrier = mp.GeneratorId("carrier", 1, "V")
     gens = [side[0], side[1], side[0], carrier, side[1], other, side[1], side[0]]
+    assert mp.commuting_runs(gens).tolist() == [0, 2, 3, 4, 5, 6, 8]
     plan = mp.Plan(p=3, M=1.0, seed=0, target_error=1, achieved_error=0.0,
                    segments=[mp.PlanSegment(g, 1.0, 0.5) for g in gens])
-    assert ls.sideband_runs(plan) == [[0, 1], [2], [4], [5], [6, 7]]
+    assert sideband_runs(plan) == [[0, 1], [2], [4], [5], [6, 7]]
     lp = ls.lift_plan(plan, eps=0.5)
     assert [s.origin for s in lp.segments] == [0, 2, 3, 4, 5, 6]
     assert lp.dim_sim == 4 * (3 + 5 + 1)
@@ -315,7 +326,7 @@ def test_default_schedule_pairs_every_sideband_at_p3():
     gens = mp.default_generator_ids(3)
     plan = mp.Plan(p=3, M=1.0, seed=0, target_error=1, achieved_error=0.0,
                    segments=[mp.PlanSegment(g, 1.0, 0.5) for g in gens * 2])
-    runs = ls.sideband_runs(plan)
+    runs = sideband_runs(plan)
     assert all(len(r) == 2 for r in runs)
     assert len(runs) == sum(g.kind == "sideband" for g in gens)
 
@@ -326,9 +337,9 @@ def test_runs_of_one_lift_as_single_segment_searches():
     carrier = mp.PlanSegment(mp.GeneratorId("carrier", 1, "W"), 1.0, 0.3)
     plan = mixed_plan(3, seed=27, nseg=10)
     plan.segments = [s for seg in plan.segments for s in (seg, carrier)]
-    assert all(len(r) == 1 for r in ls.sideband_runs(plan))
+    assert all(len(r) == 1 for r in sideband_runs(plan))
     lp = ls.lift_plan(plan, eps=0.2)
-    n_side = len(ls.sideband_runs(plan))
+    n_side = len(sideband_runs(plan))
     for seg in lp.segments:
         if not seg.is_sideband:
             continue
@@ -350,7 +361,7 @@ def test_run_lift_bounds_the_dense_deviation(p, coupling, classes, eps):
     rng = np.random.default_rng([p, *classes])
     angles = [float(rng.uniform(0.3, 1.5)) * rng.choice([-1, 1]) for _ in classes]
     plan = run_plan(p, coupling, classes, angles)
-    assert ls.sideband_runs(plan) == [list(range(len(classes)))]
+    assert sideband_runs(plan) == [list(range(len(classes)))]
     lp = ls.lift_plan(plan, eps=eps)
     (seg,) = lp.segments
     assert seg.origin == 0 and seg.t_hat == angles[0]
@@ -382,14 +393,13 @@ def test_run_e2e_merges_runs_and_simulates_the_modal_plan_once(tmp_path, monkeyp
 
     simulate_plan_modal = mp.simulate_plan_modal
     monkeypatch.setattr(mp, "simulate_plan_modal", counted)
-    monkeypatch.setattr(ls, "simulate_plan_modal", counted)
     assert cli.main(["run-e2e", "--n", "3", "--eps", "0.1", "--phi0", "e1", "--phiT", "e5",
                      "--seed", "7", "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
     plan = mp.Plan.from_json(json.loads((tmp_path / "plan.json").read_text()))
     lifted = json.loads((tmp_path / "lifted_plan.json").read_text())
     summary = json.loads((tmp_path / "summary.json").read_text())
-    runs = ls.sideband_runs(plan)
+    runs = sideband_runs(plan)
     sides = [s for s in lifted["segments"] if s["s"] is not None]
     assert [s["origin"] for s in sides] == [r[0] for r in runs]
     # each run at p = 3 holds both nonzero classes of its coupling
@@ -412,5 +422,8 @@ def test_error_report_takes_the_modal_final_state():
     modal = mp.simulate_plan_modal(plan, phi0)[-1]
     lp = ls.lift_plan(plan, eps=0.2)
     simulated = ls.simulate_lifted(lp, phi0)
-    assert ls.error_report(plan, lp, phi0, modal, simulated, modal) == \
-        ls.error_report(plan, lp, phi0, modal, simulated)
+    report = ls.error_report(plan, lp, phi0, modal, simulated, modal)
+    # the lifting error is measured against the modal state it is given
+    final = simulated[0][-1]
+    assert report["lifting_error"] == float(np.linalg.norm(
+        final - np.pad(modal, (0, len(final) - len(modal)))))

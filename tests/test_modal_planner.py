@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from sideband_steer import _kernels
@@ -262,7 +264,7 @@ def test_objective_matches_pair_rotation_oracle(p, gens, cycles):
         phi0, phiT = oc.random_state(4 * p, rng), oc.random_state(4 * p, rng)
         thetas = rng.normal(0.0, 1.0, size=len(prog.ptr) - 1)
         args = (thetas, phi0, phiT, prog.ptr, prog.pj, prog.pk, prog.coeff, prog.kind,
-                prog.runs)
+                mp.commuting_runs(gens * cycles))
         r, jac = _kernels.objective_grad(*args)
         f = float(np.sum(r.real**2 + r.imag**2))
         grad = 2.0 * (jac.conj().T @ r).real
@@ -277,6 +279,42 @@ def test_objective_matches_pair_rotation_oracle(p, gens, cycles):
         for k in cols:
             want = jacobian_column(thetas, states, k, *args[3:8])
             assert np.max(np.abs(jac[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def generator_sequences(draw):
+    """(p, gens): a sequence of default generators, drawn from every class
+    of one sideband coupling and a few other generators, so that runs form."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    pool = mp.default_generator_ids(p, draw(st.sampled_from(list(oc.FAMILIES))))
+    side = draw(st.sampled_from([g for g in pool if g.kind == "sideband"]))
+    pool = [g for g in pool if g.coupling == side.coupling] + \
+        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return p, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+
+
+@settings(deadline=None)
+@given(generator_sequences(), st.integers(0, 2**32 - 1))
+def test_runs_of_any_sequence_commute(p_gens, seed):
+    # every run of any generator sequence is pairwise disjoint, and the
+    # kernel stepping one run at a time matches the per-segment oracle
+    p, gens = p_gens
+    prog = mp._program(gens, p)
+    runs = mp.commuting_runs(gens)
+    bounds = runs.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        lo, hi = prog.ptr[a], prog.ptr[b]
+        idx = np.concatenate((prog.pj[lo:hi], prog.pk[lo:hi]))
+        assert len(np.unique(idx)) == len(idx)
+    rng = np.random.default_rng(seed)
+    phi0, phiT = oc.random_state(4 * p, rng), oc.random_state(4 * p, rng)
+    thetas = rng.normal(0.0, 1.0, size=len(gens))
+    args = (thetas, phi0, phiT, prog.ptr, prog.pj, prog.pk, prog.coeff, prog.kind, runs)
+    r, jac = _kernels.objective_grad(*args)
+    f_ref, grad_ref = sparse_objective_grad(*args)
+    assert abs(float(np.sum(r.real**2 + r.imag**2)) - f_ref) <= 1e-12 * f_ref
+    grad = 2.0 * (jac.conj().T @ r).real
+    assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
 
 
 # ---------------------------------------------------------------------------

@@ -210,25 +210,18 @@ def _segment_indices(prog, k):
     return set(prog.pj[a:b].tolist()) | set(prog.pk[a:b].tolist())
 
 
-def _run_programs():
-    out = []
-    for p in (3, 5, 7, 11):
-        for family in oc.FAMILIES:
-            ops = [mp.build_generator_operator(g, p) for g in mp.default_generator_ids(p, family)]
-            out.append(pytest.param(ops, id=f"p{p}-{family}"))
-    # a segment with no pairs, first: it joins the run after it, and the
-    # seam between two cycles is then not a run boundary
-    ops = [oc.truncate(cid, 16) for cid in ("V1", "W1r", "V2b", "W2r", "W2")]
-    ops.insert(0, oc.truncate("V1r", 4))
-    out.append(pytest.param(ops, id="no-pair-segment"))
-    return out
+def _run_schedules():
+    return [pytest.param(p, mp.default_generator_ids(p, family), id=f"p{p}-{family}")
+            for p in (3, 5, 7, 11) for family in oc.FAMILIES]
 
 
 @pytest.mark.parametrize("cycles", [1, 3])
-@pytest.mark.parametrize("ops", _run_programs())
-def test_runs_are_maximal_stretches_of_disjoint_segments(ops, cycles):
-    prog = oc.SegmentProgram.from_operators(ops).tile(cycles)
-    runs = prog.runs.tolist()
+@pytest.mark.parametrize("p, gens", _run_schedules())
+def test_runs_are_maximal_stretches_of_disjoint_segments(p, gens, cycles):
+    # on a default schedule the coupling-and-class rule finds exactly the
+    # maximal stretches of segments with pairwise disjoint pairs
+    prog = mp._program(gens, p).tile(cycles)
+    runs = mp.commuting_runs(gens * cycles).tolist()
     assert runs[0] == 0 and runs[-1] == len(prog.ptr) - 1
     assert all(a < b for a, b in zip(runs, runs[1:]))
     assert len(runs) - 1 < len(prog.ptr) - 1  # some run is longer than one segment
@@ -245,28 +238,14 @@ def test_runs_are_maximal_stretches_of_disjoint_segments(ops, cycles):
 
 
 @pytest.mark.parametrize("cycles", [1, 3])
-@pytest.mark.parametrize("ops", _run_programs())
-def test_tiled_runs_equal_the_runs_of_the_repeated_operators(ops, cycles):
-    tiled = oc.SegmentProgram.from_operators(ops).tile(cycles)
-    repeated = oc.SegmentProgram.from_operators(ops * cycles)
-    assert np.array_equal(tiled.runs, repeated.runs)
-
-
-def test_runs_around_a_segment_with_no_pairs():
-    empty, v1, w1r = oc.truncate("V1r", 4), oc.truncate("V1", 16), oc.truncate("W1r", 16)
-    assert len(empty.pj) == 0
-    prog = oc.SegmentProgram.from_operators([empty, v1, w1r]).tile(2)
-    # V1 meets every index; the second cycle's empty segment joins W1r's run
-    assert prog.runs.tolist() == [0, 2, 4, 5, 6]
-    assert oc.SegmentProgram.from_operators([]).runs.tolist() == [0]
-
-
-@pytest.mark.parametrize("cycles", [1, 3])
 def test_carrier_program_runs_have_length_one(cycles):
-    # each carrier rotates every index, so every run is a single segment
-    ops = [oc.build_coupling(cid, 3) for cid in ("V1", "W1", "V2", "W2", "V1", "V2")]
-    prog = oc.SegmentProgram.from_operators(ops).tile(cycles)
-    assert prog.runs.tolist() == list(range(len(ops) * cycles + 1))
+    # each carrier rotates every index, so it commutes with no other segment
+    # and is a run of its own
+    gens = [mp.GeneratorId("carrier", int(cid[1]), cid[0])
+            for cid in ("V1", "W1", "V2", "W2", "V1", "V2")] * cycles
+    prog = mp._program(gens, 3)
+    assert all(_segment_indices(prog, k) == set(range(12)) for k in range(len(gens)))
+    assert mp.commuting_runs(gens).tolist() == list(range(len(gens) + 1))
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["E", "F"])
